@@ -14,7 +14,8 @@ answer:
   consolidate) through ``WWTService`` with feature memoization on vs off,
   per-stage latency split from ``QueryTiming``, answer rows compared for
   equality.
-- **cache hit rates**: the feature cache's counters over the workload.
+- **cache hit rates**: the feature cache's and the edge memo's counters
+  over the workload.
 
 Emits machine-readable ``BENCH_hotpath.json``; CI runs ``--smoke`` and
 uploads the artifact.  The speedup gate mirrors
@@ -187,6 +188,7 @@ def bench_pipeline(corpus, queries, reps):
         ),
         "answer_diffs": answer_diffs,
         "feature_cache": stats.feature_cache.to_dict(),
+        "edge_cache": stats.edge_cache.to_dict(),
     }
 
 
@@ -257,6 +259,9 @@ def main(argv=None) -> int:
           f"{pipeline['after_column_map_p50_ms']:.1f}ms, "
           f"feature-cache hit rate "
           f"{pipeline['feature_cache']['hit_rate']:.2f}, "
+          f"edge-cache hits/misses "
+          f"{pipeline['edge_cache']['hits']}/"
+          f"{pipeline['edge_cache']['misses']}, "
           f"answer diffs={pipeline['answer_diffs']}", flush=True)
 
     report = {

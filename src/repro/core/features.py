@@ -29,6 +29,13 @@ the cache on mutation themselves.  The serving facade always does
 ``delete_tables``), which is why serving is safe at any staleness
 setting.
 
+:class:`FeatureCache` also carries the edge layer's memo
+(:class:`EdgeMemo`): column profiles per table and matched column pairs
+per table pair, the query-independent part of
+:func:`~repro.core.edges.build_edges`.  It shares the feature cache's
+regime pin and generation token, so it is invalidated on exactly the same
+events.
+
 :class:`BoundedCache` is the underlying thread-safe LRU; it also backs the
 corpus-level PMI² containment-probe caches
 (:class:`~repro.core.pmi.PmiScorer`), which this module sizes.
@@ -45,6 +52,9 @@ from ..text.tokenize import tokenize
 
 __all__ = [
     "BoundedCache",
+    "EDGE_MATCH_CACHE_SIZE",
+    "EDGE_PROFILE_CACHE_SIZE",
+    "EdgeMemo",
     "FeatureCache",
     "PMI_B_CACHE_SIZE",
     "PMI_H_CACHE_SIZE",
@@ -63,6 +73,12 @@ PMI_B_CACHE_SIZE = 32768
 #: (:class:`~repro.index.sharded.ShardedCorpus` and the journal's derived
 #: ranking state) — keyed by term, so sized like the PMI ``B`` cache.
 STATS_CACHE_SIZE = 65536
+#: Capacity of the edge memo's column-profile cache (keyed by table id;
+#: one entry holds every column profile of one table).
+EDGE_PROFILE_CACHE_SIZE = 4096
+#: Capacity of the edge memo's matched-pair cache (keyed by table-id pair
+#: and candidate column pairs; one entry is a few matched column triples).
+EDGE_MATCH_CACHE_SIZE = 32768
 
 _MISS = object()
 
@@ -194,12 +210,22 @@ class FeatureCache:
     change, so a cache accidentally shared across corpora degrades to a
     correct cold cache instead of serving stale features.
 
+    It also owns the edge layer's memo (see :meth:`edge_memo`), which is
+    off when ``capacity`` is 0 and otherwise sized by
+    :data:`EDGE_PROFILE_CACHE_SIZE` and :data:`EDGE_MATCH_CACHE_SIZE`.
+
     Thread-safe — ``WWTService.answer_batch`` fans concurrent pipelines
     over one shared instance.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         self._cache: BoundedCache[Hashable, Any] = BoundedCache(capacity)
+        self._profiles: BoundedCache[Hashable, Any] = BoundedCache(
+            EDGE_PROFILE_CACHE_SIZE if capacity else 0
+        )
+        self._matches: BoundedCache[Hashable, Any] = BoundedCache(
+            EDGE_MATCH_CACHE_SIZE if capacity else 0
+        )
         self._regime: Optional[Tuple[Any, Any, Any]] = None
         self._regime_lock = threading.Lock()
         self._generation = 0
@@ -229,10 +255,15 @@ class FeatureCache:
             ):
                 return self._generation
             if regime is not None:
-                self._cache.clear()
+                self._clear_all()
                 self._generation += 1
             self._regime = (stats, reliabilities, pmi_scorer)
             return self._generation
+
+    def _clear_all(self) -> None:
+        self._cache.clear()
+        self._profiles.clear()
+        self._matches.clear()
 
     def get(self, key: Hashable, generation: Optional[int] = None) -> Any:
         """The cached ``(col_features, relevance)`` for ``key``, or ``None``.
@@ -244,10 +275,7 @@ class FeatureCache:
         regime, so the token is what keeps one problem's features on one
         stats vintage.  The stale read counts as neither hit nor miss.
         """
-        with self._regime_lock:
-            if generation is not None and generation != self._generation:
-                return None
-            return self._cache.get(key)
+        return self._guarded_get(self._cache, key, generation)
 
     def put(self, key: Hashable, value: Any, generation: Optional[int] = None) -> None:
         """Store one table's features under ``key``.
@@ -256,16 +284,38 @@ class FeatureCache:
         compute-during-invalidation race: an insert carrying a superseded
         token is silently dropped.
         """
+        self._guarded_put(self._cache, key, value, generation)
+
+    def _guarded_get(
+        self, cache: BoundedCache[Hashable, Any], key: Hashable,
+        generation: Optional[int],
+    ) -> Any:
+        with self._regime_lock:
+            if generation is not None and generation != self._generation:
+                return None
+            return cache.get(key)
+
+    def _guarded_put(
+        self, cache: BoundedCache[Hashable, Any], key: Hashable, value: Any,
+        generation: Optional[int],
+    ) -> None:
         with self._regime_lock:
             if generation is not None and generation != self._generation:
                 return
-            self._cache.put(key, value)
+            cache.put(key, value)
+
+    def edge_memo(self, generation: int) -> Optional[EdgeMemo]:
+        """The edge memo as seen under one :meth:`pin` token, or ``None``
+        when this cache is disabled (capacity 0)."""
+        if not self._matches.capacity:
+            return None
+        return EdgeMemo(self, generation)
 
     def clear(self) -> None:
         """Drop all entries and retire outstanding :meth:`pin` tokens
         (counters and the pinned regime itself are kept)."""
         with self._regime_lock:
-            self._cache.clear()
+            self._clear_all()
             self._generation += 1
 
     def __len__(self) -> int:
@@ -289,3 +339,55 @@ class FeatureCache:
     def stats(self) -> Dict[str, Any]:
         """Plain-dict counter snapshot (see :meth:`BoundedCache.stats`)."""
         return self._cache.stats()
+
+    def edge_stats(self) -> Dict[str, Any]:
+        """``hits``/``misses``/``size``/``capacity`` of the edge memo, its
+        profile and matched-pair caches summed."""
+        profiles, matches = self._profiles.stats(), self._matches.stats()
+        return {
+            name: profiles[name] + matches[name]
+            for name in ("hits", "misses", "size", "capacity")
+        }
+
+
+class EdgeMemo:
+    """One :func:`~repro.core.edges.build_edges` call's view of the edge memo.
+
+    Query-independent edge work, keyed by table id so it is shared across
+    queries: :meth:`profiles` holds every
+    :class:`~repro.core.edges.ColumnProfile` of one table, and
+    :meth:`matches` the matched ``(col_a, col_b, sim)`` triples of one
+    table pair.  Every read and write carries the :meth:`FeatureCache.pin`
+    token the view was made with, so a call that outlives an invalidation
+    neither reads entries of the next regime nor stores its own stale ones.
+    """
+
+    __slots__ = ("_owner", "_generation")
+
+    def __init__(self, owner: FeatureCache, generation: int) -> None:
+        self._owner = owner
+        self._generation = generation
+
+    def profiles(self, table_id: str) -> Any:
+        """The cached column profiles of one table, or ``None``."""
+        return self._owner._guarded_get(
+            self._owner._profiles, table_id, self._generation
+        )
+
+    def put_profiles(self, table_id: str, profiles: Any) -> None:
+        """Store one table's column profiles."""
+        self._owner._guarded_put(
+            self._owner._profiles, table_id, profiles, self._generation
+        )
+
+    def matches(self, key: Hashable) -> Any:
+        """The cached matched triples of one table pair, or ``None``."""
+        return self._owner._guarded_get(
+            self._owner._matches, key, self._generation
+        )
+
+    def put_matches(self, key: Hashable, matched: Any) -> None:
+        """Store one table pair's matched triples."""
+        self._owner._guarded_put(
+            self._owner._matches, key, matched, self._generation
+        )

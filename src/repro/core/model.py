@@ -64,10 +64,6 @@ class ColumnMappingProblem:
         self.features = features
         self.table_relevance = table_relevance
         self.edges = edges
-        self.neighbors: Dict[Tuple[int, int], List[Tuple[int, MappingEdge]]] = {}
-        for idx, edge in enumerate(edges):
-            self.neighbors.setdefault(edge.a, []).append((idx, edge))
-            self.neighbors.setdefault(edge.b, []).append((idx, edge))
 
     # -- structure ---------------------------------------------------------------
 
@@ -223,8 +219,11 @@ def build_problem(
     its relevance ``R(Q, t)``) per query, so re-assembling a problem over
     an overlapping table set — the probe's confidence pass followed by the
     facade's full inference — computes features only for tables not seen
-    before; everything downstream of the features (node potentials, edges)
-    is still evaluated fresh.  The cache is pinned to this call's
+    before; node potentials are still evaluated fresh.  The same cache
+    carries the edge memo
+    (:meth:`~repro.core.features.FeatureCache.edge_memo`), which reuses
+    column profiles and per-table-pair matchings across queries; edges
+    come out bit-identical either way.  The cache is pinned to this call's
     ``(stats, reliabilities, pmi_scorer)`` regime and auto-clears if a
     different regime arrives (see
     :meth:`~repro.core.features.FeatureCache.pin`).
@@ -318,7 +317,11 @@ def build_problem(
             node_potentials[(ti, ci)] = theta
             features[(ti, ci)] = col_features[ci]
 
-    edges = build_edges(tables, stats) if with_edges else []
+    edge_memo = (
+        feature_cache.edge_memo(cache_generation)
+        if feature_cache is not None else None
+    )
+    edges = build_edges(tables, stats, memo=edge_memo) if with_edges else []
     return ColumnMappingProblem(
         query=query,
         tables=tables,

@@ -6,17 +6,99 @@ node capacities enforcing mutex/min-match, solved as min-cost max-flow
 (§4.2.1).  The matcher keeps its residual network alive after solving so
 Fig. 3's max-marginals — "optimum under a forced assignment (c, l)" — can
 be read off with one Bellman–Ford pass per right node.
+
+:func:`solve_small_assignment` is the exact shortcut for the tiny
+unit-capacity problems the edge layer (§3.3) solves by the thousand: it
+enumerates every assignment of an at most 3×3 matrix and answers only
+when the optimum is unambiguous, leaving ties to the flow solver.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .network import EPS, FlowNetwork
 
-__all__ = ["MatchingResult", "BipartiteMatcher"]
+__all__ = [
+    "SMALL_ASSIGNMENT_MARGIN",
+    "SMALL_ASSIGNMENT_MAX",
+    "MatchingResult",
+    "BipartiteMatcher",
+    "solve_small_assignment",
+]
 
 NEG_INF = float("-inf")
+
+#: Largest side :func:`solve_small_assignment` enumerates (3×3 is six
+#: permutations; the flow solver handles everything bigger).
+SMALL_ASSIGNMENT_MAX = 3
+#: The enumerated optimum must beat every other matched-pair set by more
+#: than this, far above the flow solver's accumulated ``EPS`` slack, so
+#: both solvers provably agree; anything closer is left to the flow solver.
+SMALL_ASSIGNMENT_MARGIN = 1e-6
+
+
+def _assignments(n_left: int, n_right: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Every maximum-cardinality assignment of an ``n_left x n_right``
+    unit-capacity problem, each as its ``(left, right)`` pairs sorted by left."""
+    if n_left <= n_right:
+        return tuple(
+            tuple(enumerate(rights))
+            for rights in permutations(range(n_right), n_left)
+        )
+    return tuple(
+        tuple(sorted((left, right) for right, left in enumerate(lefts)))
+        for lefts in permutations(range(n_left), n_right)
+    )
+
+
+_ASSIGNMENTS = {
+    (n_left, n_right): _assignments(n_left, n_right)
+    for n_left in range(1, SMALL_ASSIGNMENT_MAX + 1)
+    for n_right in range(1, SMALL_ASSIGNMENT_MAX + 1)
+}
+
+
+def solve_small_assignment(
+    weights: Sequence[Sequence[float]],
+) -> Optional[List[Tuple[int, int]]]:
+    """Exact max-weight matching of a small non-negative unit-capacity matrix.
+
+    Returns the sorted ``(left, right)`` pairs of positive weight that
+    ``BipartiteMatcher(weights, [1] * n_left, [1] * n_right).solve()``
+    matches — the flow solver also pads its matching with zero-weight
+    pairs, which carry no weight and are left out here.  Returns ``None``
+    (solve with the flow solver instead) when the matrix is empty, has a
+    side above :data:`SMALL_ASSIGNMENT_MAX` or a negative entry, or when
+    the best set of positive pairs does not beat the runner-up set by more
+    than :data:`SMALL_ASSIGNMENT_MARGIN`, so ties are never broken here.
+    """
+    n_left = len(weights)
+    n_right = len(weights[0]) if n_left else 0
+    if not (
+        0 < n_left <= SMALL_ASSIGNMENT_MAX
+        and 0 < n_right <= SMALL_ASSIGNMENT_MAX
+    ):
+        return None
+    for row in weights:
+        for w in row:
+            if not w >= 0.0:  # negative or NaN
+                return None
+    best: Optional[Tuple[Tuple[int, int], ...]] = None
+    best_total = runner_up = NEG_INF
+    for assignment in _ASSIGNMENTS[(n_left, n_right)]:
+        support = tuple(p for p in assignment if weights[p[0]][p[1]] > 0.0)
+        if support == best:
+            continue
+        total = sum(weights[i][j] for i, j in support)
+        if total > best_total:
+            best, best_total, runner_up = support, total, best_total
+        elif total > runner_up:
+            runner_up = total
+    if best is None or best_total - runner_up <= SMALL_ASSIGNMENT_MARGIN:
+        return None
+    return list(best)
 
 
 class MatchingResult:

@@ -210,22 +210,41 @@ class FlowNetwork:
             dist, parent_edge = self._bellman_ford_path(s)
             if dist[t] == float("inf"):
                 break
+            path, is_cycle = self._parent_chain(parent_edge, s, t)
             bottleneck = float("inf")
-            v = t
-            while v != s:
-                eid = parent_edge[v]
+            for eid in path:
                 bottleneck = min(bottleneck, self.residual(eid))
-                v = self.edge_tail(eid)
             if bottleneck <= EPS or bottleneck == float("inf"):
                 break
-            v = t
-            while v != s:
-                eid = parent_edge[v]
+            for eid in path:
                 self.push(eid, bottleneck)
                 total_cost += bottleneck * self.cost[eid]
-                v = self.edge_tail(eid)
-            total_flow += bottleneck
+            if not is_cycle:
+                total_flow += bottleneck
         return total_flow, total_cost
+
+    def _parent_chain(
+        self, parent_edge: Dict[int, int], s: int, t: int
+    ) -> Tuple[List[int], bool]:
+        """The parent edges from ``t`` back to ``s``, as ``(edges, False)``.
+
+        Shortest paths are only exact to ``EPS`` per edge, so after
+        augmenting along near-tied paths the residual graph can hold a
+        cycle of cost below ``-EPS``; the parent edges may then loop
+        before reaching ``s``.  That loop is returned as ``(edges, True)``:
+        pushing flow around it keeps the flow value and lowers its cost.
+        """
+        chain: List[int] = []
+        position: Dict[int, int] = {}
+        v = t
+        while v != s:
+            if v in position:
+                return chain[position[v]:], True
+            position[v] = len(chain)
+            eid = parent_edge[v]
+            chain.append(eid)
+            v = self.edge_tail(eid)
+        return chain, False
 
     def _bellman_ford_path(self, s: int) -> Tuple[List[float], Dict[int, int]]:
         """Bellman–Ford with parent-edge tracking over residual edges."""

@@ -66,6 +66,9 @@ class ServiceStats:
     #: Per-(query, table) feature memoization counters (the hot-path
     #: cache shared between probe confidence and full inference).
     feature_cache: CacheStats
+    #: Edge-layer memo counters (column profiles and per-table-pair
+    #: matchings reused across queries), both of its caches summed.
+    edge_cache: CacheStats
     #: Cumulative wall-clock seconds spent serving (cache hits included).
     total_time: float
     #: Per-stage latency aggregates (count/total/p50/p95 seconds) over
@@ -92,6 +95,7 @@ class ServiceStats:
             "result_cache": self.result_cache.to_dict(),
             "probe_cache": self.probe_cache.to_dict(),
             "feature_cache": self.feature_cache.to_dict(),
+            "edge_cache": self.edge_cache.to_dict(),
             "stages": {
                 name: stats.to_dict()
                 for name, stats in sorted(self.stages.items())
@@ -681,6 +685,7 @@ class WWTService:
             degraded_reasons = dict(self._degraded_reasons)
             partial_answers = self._partial_answers
         feature = self._feature_cache.stats()  # one atomic snapshot
+        edge = self._feature_cache.edge_stats()
         return ServiceStats(
             queries=queries,
             batches=batches,
@@ -691,6 +696,12 @@ class WWTService:
                 misses=feature["misses"],
                 size=feature["size"],
                 capacity=feature["capacity"],
+            ),
+            edge_cache=CacheStats(
+                hits=edge["hits"],
+                misses=edge["misses"],
+                size=edge["size"],
+                capacity=edge["capacity"],
             ),
             total_time=total_time,
             stages=stages,
@@ -716,9 +727,9 @@ class WWTService:
         """Drop all serving caches (hit/miss counters are kept).
 
         Covers the result and probe LRUs, the per-(query, table) feature
-        memo, and — when PMI² is configured — the corpus-level H/B
-        containment-probe caches; all of them key off corpus content, so
-        a live mutation invalidates the lot.
+        memo and the edge memo it carries, and — when PMI² is configured —
+        the corpus-level H/B containment-probe caches; all of them key off
+        corpus content, so a live mutation invalidates the lot.
         """
         self._result_cache.clear()
         self._probe_cache.clear()

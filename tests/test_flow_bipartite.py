@@ -1,13 +1,18 @@
 """Bipartite matcher and max-marginals vs brute-force enumeration."""
 
 import itertools
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.bipartite import BipartiteMatcher
+from repro.flow.bipartite import (
+    SMALL_ASSIGNMENT_MARGIN,
+    BipartiteMatcher,
+    solve_small_assignment,
+)
 
 NEG_INF = float("-inf")
 
@@ -106,6 +111,30 @@ class TestMatcherBasics:
             m.max_marginals()
 
 
+class TestNearTies:
+    def test_near_tied_weights_terminate_at_the_optimum(self):
+        # Weights 1e-10..1e-9 apart once left a residual cycle of cost
+        # below -EPS, and the augmenting-path walk followed it forever.
+        weights = [
+            [1e-09, 1e-10, 0.7500000001],
+            [0.7500000001, 0.5000000001, 0.75],
+            [1.0, 1.000000001, 0.0],
+        ]
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(
+                BipartiteMatcher(weights, [1] * 3, [1] * 3).solve()
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "solve() did not terminate"
+        assert results[0].pairs == [(0, 2), (1, 0), (2, 1)]
+        best = brute_force_best(weights, [1] * 3)
+        assert abs(results[0].total_weight - best) < 1e-9
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=80, deadline=None)
     @given(weight_matrix)
@@ -149,3 +178,80 @@ class TestAgainstBruteForce:
             assert c <= right_caps[j]
         lefts = [i for i, _ in r.pairs]
         assert len(lefts) == len(set(lefts))
+
+
+#: Coarse weight grid (exact ties are common) plus the near-tie offsets
+#: added on top: below, at, and just above the flow solver's EPS, and
+#: below the small solver's margin.
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+NUDGES = [0.0, 1e-10, 1e-9, 1e-7]
+
+small_matrix = st.integers(1, 3).flatmap(
+    lambda n_left: st.integers(1, 3).flatmap(
+        lambda n_right: st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(GRID), st.sampled_from(NUDGES)).map(
+                    lambda wn: wn[0] + wn[1]
+                ),
+                min_size=n_right,
+                max_size=n_right,
+            ),
+            min_size=n_left,
+            max_size=n_left,
+        )
+    )
+)
+
+
+def flow_positive_pairs(weights):
+    """The unit-capacity flow solver's matching without its zero pads."""
+    result = BipartiteMatcher(
+        weights, [1] * len(weights), [1] * len(weights[0])
+    ).solve()
+    return [(i, j) for i, j in result.pairs if weights[i][j] > 0.0]
+
+
+class TestSmallAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(small_matrix)
+    def test_agrees_with_flow_solver(self, weights):
+        got = solve_small_assignment(weights)
+        if got is not None:
+            assert got == flow_positive_pairs(weights), weights
+
+    def test_clear_winner_solved_directly(self):
+        weights = [[0.9, 0.2, 0.0], [0.1, 0.0, 0.8]]
+        assert solve_small_assignment(weights) == [(0, 0), (1, 2)]
+        assert flow_positive_pairs(weights) == [(0, 0), (1, 2)]
+
+    def test_tall_matrix(self):
+        weights = [[0.3], [0.7], [0.0]]
+        assert solve_small_assignment(weights) == [(1, 0)]
+
+    def test_zero_pads_do_not_count_as_ties(self):
+        # Row 1 is all zero: where the flow solver parks it changes no
+        # weight, so the optimum is still unambiguous.
+        assert solve_small_assignment([[0.5, 0.0], [0.0, 0.0]]) == [(0, 0)]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-10, 1e-9, 1e-7])
+    def test_ties_within_margin_fall_back(self, offset):
+        assert offset < SMALL_ASSIGNMENT_MARGIN
+        for weights in (
+            [[0.5 + offset, 0.5], [0.5, 0.5]],
+            [[0.5, 0.5 + offset], [0.5 + offset, 0.5]],
+        ):
+            assert solve_small_assignment(weights) is None
+
+    def test_margin_above_threshold_is_solved(self):
+        weights = [[0.5 + 1e-5, 0.5], [0.5, 0.5]]
+        assert solve_small_assignment(weights) == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("weights", [
+        [[0.5, -0.1], [0.2, 0.3]],
+        [[float("nan")]],
+        [[0.1] * 4],
+        [[0.1]] * 4,
+        [],
+    ])
+    def test_out_of_scope_matrices_fall_back(self, weights):
+        assert solve_small_assignment(weights) is None
