@@ -73,5 +73,7 @@ bench-serving:
 bench-faults:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_faults.py --smoke
 
+# Thread-vs-async serve throughput (alternated runs, median per mode),
+# served-answer identity, and the lazy table store's cold open.
 bench-parallel:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_parallel.py --smoke

@@ -1,19 +1,15 @@
-# reprolint: disable-file=R001 -- benchmark harness: measures real wall-clock scatter/serve/cold-open latency by design; results are reports, not ranked answers
-"""Parallel-execution benchmark: scatter modes, serve modes, lazy opens.
+# reprolint: disable-file=R001 -- benchmark harness: measures real wall-clock serve/cold-open latency by design; results are reports, not ranked answers
+"""Serve-mode and lazy-store benchmark: thread vs async serving, lazy opens.
 
-Measures the three surfaces ISSUE 10 added and what each one promises:
+Measures two surfaces and what each one promises:
 
-- **scatter**: the same persisted corpus loaded with
-  ``parallel_mode`` in (serial, thread, process) at several worker
-  counts; reports per-query scatter latency and speedup over serial.
-  Speedups are *recorded, never gated* — on a single-core container
-  process scatter pays IPC for no parallelism and honestly loses.
-- **identity**: the full 59-query workload answered end-to-end under
-  every mode must be byte-identical (the two-phase idf design's whole
-  claim; fatal under ``--strict``).
 - **serve modes**: ``execution_mode="thread"`` vs ``"async"`` under
-  closed-loop load — throughput recorded, answer payloads compared
-  byte-for-byte (diffs fatal under ``--strict``).
+  closed-loop load on one shared corpus.  Runs alternate
+  thread, async, async, thread (``--repeats`` such blocks) so neither
+  mode always runs on a warmer process; the median qps of each mode is
+  reported.  Every run also answers the workload sequentially, and the
+  answer payloads must be byte-identical across all runs (diffs fatal
+  under ``--strict``).
 - **lazy store**: cold time-to-first-table of an eager
   ``TableStore.load`` (parses every row) vs ``LazyTableStore.open``
   (offset sidecar + one row parse) at 10^5 tables.
@@ -25,7 +21,7 @@ Run standalone (no pytest)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --smoke
     PYTHONPATH=src python benchmarks/bench_parallel.py \
-        --scale 0.3 --workers 1 2 4 --shards 8 \
+        --scale 1.0 --concurrency 2 --repeats 2 \
         --out results/BENCH_parallel.json
 """
 
@@ -35,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import threading
@@ -45,7 +42,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.corpus.generator import CorpusConfig, generate_corpus  # noqa: E402
-from repro.index import ShardedCorpus, build_sharded_corpus  # noqa: E402
 from repro.index.store import (  # noqa: E402
     LazyTableStore,
     TableStore,
@@ -53,97 +49,11 @@ from repro.index.store import (  # noqa: E402
 )
 from repro.query.workload import WORKLOAD  # noqa: E402
 from repro.serve import ReproServer, ServeClient, ServeConfig  # noqa: E402
-from repro.serve.protocol import answer_payload  # noqa: E402
-from repro.service import QueryRequest, WWTService  # noqa: E402
+from repro.service import WWTService  # noqa: E402
 from repro.tables.table import WebTable  # noqa: E402
-from repro.text.tokenize import tokenize  # noqa: E402
 
-MODES = ("serial", "thread", "process")
-
-
-def term_sets_for(queries):
-    """Analyzed search-term lists, one per workload query."""
-    sets = []
-    for query in queries:
-        terms = []
-        for column in query.columns:
-            terms.extend(tokenize(column))
-        if terms:
-            sets.append(sorted(set(terms)))
-    return sets
-
-
-def load_mode(corpus_dir, mode, workers):
-    """Open the persisted corpus under one scatter configuration."""
-    return ShardedCorpus.load(
-        corpus_dir, probe_workers=workers, parallel_mode=mode
-    )
-
-
-def bench_scatter(corpus_dir, term_sets, workers_list, repeats):
-    """Per-query scatter latency for every mode × worker count."""
-    rows = []
-    serial_ms = None
-    for mode in MODES:
-        for workers in ([1] if mode == "serial" else workers_list):
-            corpus = load_mode(corpus_dir, mode, workers)
-            try:
-                corpus.search(term_sets[0], limit=20)  # warm: mmap + spawn
-                samples = []
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    for terms in term_sets:
-                        corpus.search(terms, limit=20)
-                    samples.append(
-                        (time.perf_counter() - t0) * 1000.0 / len(term_sets)
-                    )
-            finally:
-                corpus.close()
-            per_query_ms = min(samples)
-            if mode == "serial":
-                serial_ms = per_query_ms
-            row = {
-                "mode": mode,
-                "workers": workers,
-                "per_query_ms": round(per_query_ms, 4),
-                "speedup_vs_serial": (
-                    round(serial_ms / per_query_ms, 3) if serial_ms else None
-                ),
-            }
-            rows.append(row)
-            print(f"  {mode:>7} x{workers}: {row['per_query_ms']:>8.3f} "
-                  f"ms/query  ({row['speedup_vs_serial']}x vs serial)",
-                  flush=True)
-    return rows
-
-
-def bench_mode_identity(corpus_dir, queries, workers):
-    """End-to-end answers under every mode, compared byte-for-byte."""
-    digests = {}
-    for mode in MODES:
-        corpus = load_mode(corpus_dir, mode, workers)
-        try:
-            service = WWTService(corpus)
-            digests[mode] = [
-                json.dumps(
-                    answer_payload(
-                        service.answer(QueryRequest(query=q, use_cache=False))
-                    ),
-                    sort_keys=True,
-                )
-                for q in queries
-            ]
-        finally:
-            corpus.close()
-    diffs = sum(
-        1
-        for i in range(len(queries))
-        if not (
-            digests["serial"][i] == digests["thread"][i]
-            == digests["process"][i]
-        )
-    )
-    return {"queries": len(queries), "workers": workers, "mode_diffs": diffs}
+#: One block of serve runs; the reversed half cancels order effects.
+SERVE_ORDER = ("thread", "async", "async", "thread")
 
 
 def run_closed_loop(server, queries, concurrency, requests_per_client):
@@ -190,46 +100,72 @@ def run_closed_loop(server, queries, concurrency, requests_per_client):
     }
 
 
-def bench_serve_modes(corpus, queries, concurrency, requests_per_client):
-    """thread vs async serving: throughput + answer byte-identity."""
-    rows = {}
-    answers = {}
-    for mode in ("thread", "async"):
-        service = WWTService(corpus)
-        config = ServeConfig(
-            port=0, workers=4, queue_depth=64, execution_mode=mode
+def serve_once(corpus, mode, queries, concurrency, requests_per_client):
+    """One server run: sequential answer payloads, then closed-loop qps."""
+    service = WWTService(corpus)
+    config = ServeConfig(
+        port=0, workers=4, queue_depth=64, execution_mode=mode
+    )
+    with ReproServer(service, config) as server:
+        answers = []
+        with ServeClient(server.host, server.port) as client:
+            for query in queries:
+                status, _, body = client.query(
+                    {"query": str(query), "use_cache": False}
+                )
+                answers.append(
+                    json.dumps(body["answer"], sort_keys=True)
+                    if status == 200 else f"status={status}"
+                )
+        row = run_closed_loop(
+            server, queries, concurrency, requests_per_client
         )
-        with ReproServer(service, config) as server:
-            # One sequential pass first, capturing payloads for identity.
-            with ServeClient(server.host, server.port) as client:
-                answers[mode] = []
-                for query in queries:
-                    status, _, body = client.query(
-                        {"query": str(query), "use_cache": False}
-                    )
-                    answers[mode].append(
-                        json.dumps(body["answer"], sort_keys=True)
-                        if status == 200 else f"status={status}"
-                    )
-            row = run_closed_loop(
-                server, queries, concurrency, requests_per_client
-            )
-        rows[mode] = row
+    return answers, row
+
+
+def bench_serve_modes(corpus, queries, concurrency, requests_per_client,
+                      blocks):
+    """thread vs async serving: median throughput + answer byte-identity."""
+    runs = {"thread": [], "async": []}
+    reference = None
+    diffs = 0
+    for mode in SERVE_ORDER * blocks:
+        answers, row = serve_once(
+            corpus, mode, queries, concurrency, requests_per_client
+        )
+        if reference is None:
+            reference = answers
+        diffs += sum(1 for a, b in zip(reference, answers) if a != b)
+        runs[mode].append(row)
         print(f"  {mode:>6}: {row['qps']:>7.1f} qps "
               f"({row['answered_2xx']}/{row['requests']} answered, "
               f"{row['errors']} errors)", flush=True)
-    diffs = sum(
-        1 for a, b in zip(answers["thread"], answers["async"]) if a != b
-    )
-    ratio = (
-        round(rows["async"]["qps"] / rows["thread"]["qps"], 3)
-        if rows["thread"]["qps"] else None
-    )
+    medians = {
+        mode: statistics.median(row["qps"] or 0.0 for row in rows)
+        for mode, rows in runs.items()
+    }
+    for mode, qps in medians.items():
+        print(f"  {mode:>6} median: {qps:.1f} qps over "
+              f"{len(runs[mode])} runs", flush=True)
     return {
-        "thread": rows["thread"],
-        "async": rows["async"],
-        "async_vs_thread_qps": ratio,
+        "order": list(SERVE_ORDER * blocks),
+        "thread": {
+            "median_qps": round(medians["thread"], 2),
+            "runs": runs["thread"],
+        },
+        "async": {
+            "median_qps": round(medians["async"], 2),
+            "runs": runs["async"],
+        },
+        "async_vs_thread_qps": (
+            round(medians["async"] / medians["thread"], 3)
+            if medians["thread"] else None
+        ),
         "answer_diffs": diffs,
+        "errors": {
+            mode: sum(row["errors"] for row in rows)
+            for mode, rows in runs.items()
+        },
     }
 
 
@@ -283,14 +219,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--queries", type=int, default=None,
                         help="workload queries (default: all 59)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count for the persisted corpus "
-                             "(default 8)")
-    parser.add_argument("--workers", type=int, nargs="+", default=None,
-                        help="worker counts for thread/process scatter "
-                             "(default: 1 2 4)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats, best-of taken (default 3)")
+                        help="best-of repeats for the lazy open, and "
+                             "thread/async/async/thread blocks for the "
+                             "serve sweep (default 3)")
     parser.add_argument("--lazy-tables", type=int, default=None,
                         help="table count for the lazy-open comparison "
                              "(default 100000)")
@@ -301,22 +233,23 @@ def main(argv=None) -> int:
                         help="requests per closed-loop client (default 6)")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast run for CI; fills any unset "
-                             "option with scale 0.05, 8 queries, 4 shards, "
-                             "workers 1 2, 2000 lazy tables")
+                             "option with scale 0.05, 8 queries, "
+                             "2 repeats, 2000 lazy tables")
     parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero on any cross-mode identity "
-                             "diff (speedups are recorded, never gated)")
+                        help="exit non-zero on any thread-vs-async answer "
+                             "diff or serve error (throughput is "
+                             "recorded, never gated)")
     parser.add_argument("--out", metavar="PATH",
                         default=str(REPO_ROOT / "results"
                                     / "BENCH_parallel.json"))
     args = parser.parse_args(argv)
 
     # --smoke only fills options the user left unset.
-    smoke_defaults = (0.05, 8, 4, [1, 2], 2, 2000, 2, 3)
-    full_defaults = (0.3, len(WORKLOAD), 8, [1, 2, 4], 3, 100_000, 4, 6)
+    smoke_defaults = (0.05, 8, 2, 2000, 2, 3)
+    full_defaults = (0.3, len(WORKLOAD), 3, 100_000, 4, 6)
     for name, value in zip(
-        ("scale", "queries", "shards", "workers", "repeats",
-         "lazy_tables", "concurrency", "requests"),
+        ("scale", "queries", "repeats", "lazy_tables", "concurrency",
+         "requests"),
         smoke_defaults if args.smoke else full_defaults,
     ):
         if getattr(args, name) is None:
@@ -327,56 +260,31 @@ def main(argv=None) -> int:
     corpus = generate_corpus(
         CorpusConfig(seed=args.seed, scale=args.scale)
     ).corpus
-    tables = list(corpus.store)
-    print(f"parallel benchmark: scale={args.scale} "
-          f"({len(tables)} tables, "
+    print(f"serve-mode benchmark: scale={args.scale} "
+          f"({corpus.num_tables} tables, "
           f"{time.perf_counter() - t0:.1f}s to build), "
-          f"{len(queries)} queries, shards={args.shards}, "
-          f"workers={args.workers}, cpu_count={os.cpu_count()}",
+          f"{len(queries)} queries, cpu_count={os.cpu_count()}",
           flush=True)
-
-    with tempfile.TemporaryDirectory(prefix="bench-parallel-") as tmp:
-        corpus_dir = Path(tmp) / "corpus"
-        build_sharded_corpus(tables, args.shards).save(corpus_dir)
-
-        print("scatter latency (best-of, caches cold per mode):",
-              flush=True)
-        scatter = bench_scatter(
-            corpus_dir, term_sets_for(queries), args.workers, args.repeats
-        )
-
-        print("cross-mode identity (end-to-end answers):", flush=True)
-        identity = bench_mode_identity(
-            corpus_dir, queries, max(args.workers)
-        )
-        print(f"  {identity['mode_diffs']} diffs over "
-              f"{identity['queries']} queries x {len(MODES)} modes",
-              flush=True)
 
     print("serve modes (closed-loop, caches off):", flush=True)
     serve = bench_serve_modes(
-        corpus, queries, args.concurrency, args.requests
+        corpus, queries, args.concurrency, args.requests, args.repeats
     )
     print(f"  answer identity: {serve['answer_diffs']} diffs over "
-          f"{len(queries)} queries", flush=True)
+          f"{len(queries)} queries x {len(serve['order'])} runs",
+          flush=True)
 
     print("lazy table store (cold time-to-first-table):", flush=True)
     lazy = bench_lazy_cold(args.lazy_tables, max(2, args.repeats))
 
     failures = []
-    if identity["mode_diffs"]:
-        failures.append(
-            f"{identity['mode_diffs']} cross-mode answer diffs"
-        )
     if serve["answer_diffs"]:
         failures.append(
             f"{serve['answer_diffs']} thread-vs-async answer diffs"
         )
-    for mode in ("thread", "async"):
-        if serve[mode]["errors"]:
-            failures.append(
-                f"{serve[mode]['errors']} serve errors in {mode} mode"
-            )
+    for mode, errors in serve["errors"].items():
+        if errors:
+            failures.append(f"{errors} serve errors in {mode} mode")
 
     report = {
         "benchmark": "parallel",
@@ -389,16 +297,12 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "scale": args.scale,
             "num_queries": len(queries),
-            "shards": args.shards,
-            "workers": args.workers,
             "repeats": args.repeats,
             "lazy_tables": args.lazy_tables,
             "concurrency": args.concurrency,
             "requests_per_client": args.requests,
             "smoke": args.smoke,
         },
-        "scatter": scatter,
-        "identity": identity,
         "serve_modes": serve,
         "lazy_store": lazy,
         "failures": failures,

@@ -67,7 +67,7 @@ def percentile(values, fraction):
     return ordered[rank]
 
 
-def build_one(tables, num_shards, probe_workers):
+def build_one(tables, num_shards):
     """Build, persist, and reload one shard count.
 
     Returns ``(loaded_corpus, partial_metrics_row)``.
@@ -82,7 +82,7 @@ def build_one(tables, num_shards, probe_workers):
         corpus.save(path)
         save_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        loaded = load_corpus(path, probe_workers=probe_workers)
+        loaded = load_corpus(path)
         load_s = time.perf_counter() - t0
         size_bytes = sum(
             f.stat().st_size for f in path.rglob("*") if f.is_file()
@@ -116,9 +116,7 @@ def build_format_pair(args, num_shards, workdir, rank_queries):
     build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    corpus_bin = load_corpus(
-        bin_dir, probe_workers=args.probe_workers, mutable=False
-    )
+    corpus_bin = load_corpus(bin_dir, mutable=False)
     load_bin_s = time.perf_counter() - t0
     first_tokens = rank_queries[0].all_tokens()
     t0 = time.perf_counter()
@@ -129,9 +127,7 @@ def build_format_pair(args, num_shards, workdir, rank_queries):
     corpus_bin.save(json_dir, index_format="json")
     save_json_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    corpus_json = load_corpus(
-        json_dir, probe_workers=args.probe_workers, mutable=False
-    )
+    corpus_json = load_corpus(json_dir, mutable=False)
     load_json_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     corpus_json.search(first_tokens, limit=60)
@@ -150,8 +146,6 @@ def build_format_pair(args, num_shards, workdir, rank_queries):
             rankings_match = False
             print(f"  RANKING MISMATCH shards={num_shards} "
                   f"query={query.keywords}", file=sys.stderr)
-    if hasattr(corpus_json, "close"):
-        corpus_json.close()
 
     def dir_kib(path):
         total = sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
@@ -228,8 +222,6 @@ def main(argv=None) -> int:
                         help="workload queries to probe (default: all 59)")
     parser.add_argument("--reps", type=int, default=None,
                         help="probe repetitions per query (default 3)")
-    parser.add_argument("--probe-workers", type=int, default=1,
-                        help="scatter-gather thread width (default 1=serial)")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast sweep for CI; fills any unset "
                              "option with scale 0.15, shards 1 2 4, "
@@ -269,24 +261,19 @@ def main(argv=None) -> int:
               f"(seed={args.seed}), shards {args.shards}; ranking identity "
               f"over {len(rank_queries)} queries", flush=True)
         with tempfile.TemporaryDirectory(prefix="bench_binfmt_") as tmp:
-            try:
-                for k in args.shards:
-                    corpora[k], row = build_format_pair(
-                        args, k, Path(tmp), rank_queries
-                    )
-                    results.append(row)
-                    print(f"  shards={k}: build {row['build_s']:.1f}s "
-                          f"save-json {row['save_json_s']:.1f}s "
-                          f"load bin {row['load_bin_s'] * 1000:.1f}ms "
-                          f"vs json {row['load_json_s']:.1f}s "
-                          f"({row['load_ratio_json_over_bin']:.0f}x) "
-                          f"first probe {row['first_probe_bin_ms']:.0f}ms "
-                          f"match={row['rankings_match_json']}", flush=True)
-                latencies = probe_all(corpora, queries, args.reps)
-            finally:
-                for loaded in corpora.values():
-                    if hasattr(loaded, "close"):
-                        loaded.close()
+            for k in args.shards:
+                corpora[k], row = build_format_pair(
+                    args, k, Path(tmp), rank_queries
+                )
+                results.append(row)
+                print(f"  shards={k}: build {row['build_s']:.1f}s "
+                      f"save-json {row['save_json_s']:.1f}s "
+                      f"load bin {row['load_bin_s'] * 1000:.1f}ms "
+                      f"vs json {row['load_json_s']:.1f}s "
+                      f"({row['load_ratio_json_over_bin']:.0f}x) "
+                      f"first probe {row['first_probe_bin_ms']:.0f}ms "
+                      f"match={row['rankings_match_json']}", flush=True)
+            latencies = probe_all(corpora, queries, args.reps)
         if not all(r["rankings_match_json"] for r in results):
             print("ERROR: v3 rankings diverge from v2", file=sys.stderr)
             return 1
@@ -302,15 +289,10 @@ def main(argv=None) -> int:
         print(f"  {len(tables)} tables in {generate_s:.1f}s; "
               f"probing {len(queries)} queries x {args.reps} reps",
               flush=True)
-        try:
-            for k in args.shards:
-                corpora[k], row = build_one(tables, k, args.probe_workers)
-                results.append(row)
-            latencies = probe_all(corpora, queries, args.reps)
-        finally:
-            for loaded in corpora.values():
-                if hasattr(loaded, "close"):
-                    loaded.close()
+        for k in args.shards:
+            corpora[k], row = build_one(tables, k)
+            results.append(row)
+        latencies = probe_all(corpora, queries, args.reps)
     for row in results:
         row.update(latencies[row["num_shards"]])
         if args.tables is None:
@@ -350,7 +332,6 @@ def main(argv=None) -> int:
             ),
             "num_queries": len(queries),
             "reps": args.reps,
-            "probe_workers": args.probe_workers,
             "smoke": args.smoke,
             "baseline_num_shards": baseline["num_shards"],
         },

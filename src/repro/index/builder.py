@@ -598,7 +598,6 @@ def build_corpus_index(
     boosts: Optional[Dict[str, float]] = None,
     num_shards: Optional[int] = None,
     save: Optional[Union[str, Path]] = None,
-    probe_workers: int = 1,
     index_format: str = DEFAULT_INDEX_FORMAT,
     stream: bool = False,
 ) -> "CorpusProtocol":
@@ -611,10 +610,9 @@ def build_corpus_index(
     ``num_shards=None`` (the default) returns the classic monolithic
     :class:`IndexedCorpus`; an integer returns a
     :class:`~repro.index.sharded.ShardedCorpus` hash-partitioned over that
-    many shards (ranking-equivalent — see DESIGN.md) with
-    ``probe_workers``-wide scatter-gather.  ``save=`` additionally persists
-    the built corpus to that directory in ``index_format`` (``"bin"`` or
-    ``"json"``).
+    many shards (ranking-equivalent — see DESIGN.md).  ``save=``
+    additionally persists the built corpus to that directory in
+    ``index_format`` (``"bin"`` or ``"json"``).
 
     ``stream=True`` consumes ``tables`` without ever holding the corpus in
     memory: the build goes through :func:`build_corpus_stream` (which
@@ -634,14 +632,12 @@ def build_corpus_index(
             tables, save, num_shards=num_shards, boosts=boosts,
             index_format=index_format,
         )
-        return load_corpus(save, probe_workers=probe_workers, mutable=False)
+        return load_corpus(save, mutable=False)
     corpus: "CorpusProtocol"
     if num_shards is not None:
         from .sharded import build_sharded_corpus
 
-        corpus = build_sharded_corpus(
-            tables, num_shards, boosts=boosts, probe_workers=probe_workers
-        )
+        corpus = build_sharded_corpus(tables, num_shards, boosts=boosts)
     else:
         index = InvertedIndex(boosts or FIELD_BOOSTS)
         store = TableStore()

@@ -632,24 +632,14 @@ class JournaledCorpus:
             self._maybe_refresh()
             field_list = list(fields) if fields is not None else None
             eff_limit = limit + len(self._tombstones)
-            map_shards = getattr(self.base, "_map_shards", None)
-            results = (
-                map_shards(
-                    lambda s: s.index.search(
-                        terms, limit=eff_limit, fields=field_list,
-                        idf=self._effective_idf,
-                        with_field_scores=with_field_scores,
-                    )
-                )
-                if map_shards is not None
-                else [self.base.index.search(
+            merged = [
+                hit
+                for index, _ in self._base_pairs()
+                for hit in index.search(
                     terms, limit=eff_limit, fields=field_list,
                     idf=self._effective_idf,
                     with_field_scores=with_field_scores,
-                )]
-            )
-            merged = [
-                hit for hits in results for hit in hits
+                )
                 if hit.doc_id not in self._tombstones
             ]
             merged.extend(self._delta_index.search(
@@ -850,23 +840,21 @@ class JournaledCorpus:
         """Rebuild ``self.base`` around the folded shards and reset the delta.
 
         Reconstructing (rather than patching) the base refreshes its
-        internal caches — table counts, the sharded IDF cache, the scatter
-        pool — in one stroke.
+        internal caches — table counts, the sharded IDF cache, the health
+        tracker — in one stroke.
         """
         from .sharded import ShardedCorpus
 
         if getattr(self.base, "shards", None) is not None:
-            probe_workers = self.base.probe_workers
             health = getattr(self.base, "health_policy", None)
             clock = getattr(self.base, "_clock", None)
-            self.base.close()
             shards = [
                 IndexedCorpus(index=index, store=store, stats=merged)
                 for index, store in pairs
             ]
             self.base = ShardedCorpus(
-                shards=shards, stats=merged, probe_workers=probe_workers,
-                validate=False, health=health, clock=clock,
+                shards=shards, stats=merged, validate=False, health=health,
+                clock=clock,
             )
         else:
             index, store = pairs[0]
@@ -885,9 +873,12 @@ class JournaledCorpus:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release base resources (the sharded scatter pool); idempotent."""
-        if hasattr(self.base, "close"):
-            self.base.close()
+        """Release held resources (idempotent).
+
+        Probes run serially in the caller and hold no pool, so there is
+        nothing to release; the method keeps ``with load_corpus(...)``
+        and explicit ``close()`` calls working.
+        """
 
     def __enter__(self) -> JournaledCorpus:
         return self

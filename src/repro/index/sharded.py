@@ -18,15 +18,11 @@ answers the pipeline's probes by scatter-gather:
   shard intersects locally; the union over shards is the global conjunction
   (again because shards partition the documents).
 
-``probe_workers > 1`` fans the scatter across a persistent thread pool —
-worthwhile once shards are large or back disk/remote storage; for small
-in-memory shards the serial loop (the default) is faster than thread
-dispatch.  ``parallel_mode="process"`` goes further and routes shard
-probes to a :class:`~repro.index.procpool.ProcessScatterPool` of worker
-processes (each opening its own shard from the persisted corpus
-directory), escaping the GIL for the CPU-bound scoring loops; the gather
-merge, corpus-global IDF, and coverage accounting stay in the parent, so
-rankings remain bit-identical to serial execution.
+Every probe runs its shards in one serial loop (:meth:`ShardedCorpus._scatter`).
+The index probe is a small share of a query — the per-query inference
+over the returned tables dominates — and measured thread and process
+fan-outs were slower than the loop at every size tried (see DESIGN.md,
+"Async execution").
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -57,6 +52,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     TypeVar,
     Union,
 )
@@ -80,7 +76,6 @@ from .builder import (
     save_corpus_dir,
 )
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit, lucene_idf
-from .procpool import ProcessScatterPool
 from .protocol import ShardProtocol
 from .store import TableStore
 
@@ -88,7 +83,6 @@ if TYPE_CHECKING:
     from .protocol import CorpusProtocol
 
 __all__ = [
-    "PARALLEL_MODES",
     "ShardedCorpus",
     "build_sharded_corpus",
     "load_corpus",
@@ -97,12 +91,8 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: How a :class:`ShardedCorpus` executes its scatter: ``"serial"`` runs
-#: probes inline (no pool, even with ``probe_workers > 1``), ``"thread"``
-#: fans out over a thread pool when ``probe_workers > 1``, ``"process"``
-#: routes probes to a :class:`~repro.index.procpool.ProcessScatterPool`
-#: of worker processes (requires a persisted corpus directory).
-PARALLEL_MODES = ("serial", "thread", "process")
+#: One unit of scatter work: a shard ordinal and the call to run on it.
+ShardCall = Tuple[int, Callable[[ShardProtocol], T]]
 
 
 def shard_of(table_id: str, num_shards: int) -> int:
@@ -133,30 +123,12 @@ class ShardedCorpus:
         self,
         shards: Sequence[ShardProtocol],
         stats: TermStatistics,
-        probe_workers: int = 1,
         validate: bool = True,
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        parallel_mode: str = "thread",
-        corpus_path: Optional[Path] = None,
     ) -> None:
         if not shards:
             raise ValueError("a ShardedCorpus needs at least one shard")
-        if probe_workers < 1:
-            raise ValueError("probe_workers must be >= 1")
-        if parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel_mode {parallel_mode!r}; expected one of "
-                f"{PARALLEL_MODES}"
-            )
-        if parallel_mode == "process" and corpus_path is None:
-            raise ValueError(
-                'parallel_mode="process" needs a persisted corpus '
-                "directory — load one with ShardedCorpus.load()/"
-                "load_corpus() so worker processes can open their own "
-                "shards (in-memory shards cannot cross the process "
-                "boundary)"
-            )
         self.shards: List[ShardProtocol] = list(shards)
         # Table access routes by shard_of(), so the shards MUST be the
         # CRC32 partition — arbitrary shard lists (e.g. two independently
@@ -177,18 +149,14 @@ class ShardedCorpus:
                             "partition)"
                         )
         self.stats = stats
-        self.probe_workers = probe_workers
-        #: Scatter execution mode (one of :data:`PARALLEL_MODES`).
-        self.parallel_mode = parallel_mode
-        self._corpus_path = corpus_path
         #: The policy this corpus was constructed with (``None`` = strict
         #: all-or-nothing scatter, the pre-failure-domain behaviour) —
         #: kept so compaction can rebuild an equivalent corpus.
         self.health_policy = health
         self._clock = clock
-        #: Per-shard failure domains.  ``None`` (the default) preserves
-        #: the exact strict scatter path: any shard error raises through,
-        #: rankings stay bit-identical, and no health bookkeeping runs.
+        #: Per-shard failure domains.  ``None`` (the default) keeps the
+        #: scatter strict: any shard error raises through and no health
+        #: bookkeeping runs.
         self._health: Optional[HealthTracker] = (
             HealthTracker(len(self.shards), health, clock=clock)
             if health is not None else None
@@ -197,29 +165,6 @@ class ShardedCorpus:
         self._idf_cache: BoundedCache[str, float] = BoundedCache(
             STATS_CACHE_SIZE
         )
-        # Created eagerly (not lazily) so concurrent first probes — e.g.
-        # WWTService.answer_batch fanning out over this corpus — can't race
-        # a lazy init and leak a second pool.  In process mode the thread
-        # pool stays: its threads only *dispatch* IPC requests and block on
-        # replies (GIL released), overlapping the workers' compute.
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if (
-            parallel_mode != "serial"
-            and self.probe_workers > 1
-            and self.num_shards > 1
-        ):
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self.probe_workers, self.num_shards),
-                thread_name_prefix="shard-probe",
-            )
-        # The worker-process pool (process mode only).  Its executor
-        # spawns lazily on the first scatter and respawns after a crash.
-        self._procpool: Optional[ProcessScatterPool] = None
-        if parallel_mode == "process" and corpus_path is not None:
-            self._procpool = ProcessScatterPool(
-                corpus_path,
-                workers=min(self.probe_workers, self.num_shards),
-            )
 
     # -- shape -----------------------------------------------------------------
 
@@ -246,78 +191,50 @@ class ShardedCorpus:
         """Per-shard table counts (partition balance diagnostics)."""
         return [s.num_tables for s in self.shards]
 
-    # -- scatter-gather machinery ----------------------------------------------
+    # -- the scatter loop ------------------------------------------------------
 
-    def _run_jobs(self, jobs: Sequence[Callable[[], T]]) -> List[T]:
-        """Run ``jobs`` (one per shard, in shard order) and gather results.
+    def _every_shard(
+        self, probe: Callable[[ShardProtocol], T]
+    ) -> List[ShardCall[T]]:
+        """``probe`` once per shard, in shard order."""
+        return [(si, probe) for si in range(self.num_shards)]
 
-        Serial without a pool.  With a pool, the executor reference is
-        snapshotted once so a concurrent :meth:`close` cannot null it
-        mid-scatter, and submission failure falls back cleanly: futures
-        already submitted still complete (``shutdown(wait=True)`` waits
-        for them), the remainder runs serially on this thread, and the
-        gathered order is preserved.
-        """
-        executor = self._executor
-        if executor is None:
-            return [job() for job in jobs]
-        futures: List[Future[T]] = []
-        try:
-            for job in jobs:
-                futures.append(executor.submit(job))
-        except RuntimeError:  # reprolint: disable=R008 -- close() raced this scatter; the serial fallback below completes the probe, so nothing is lost and there is no failure to record
-            # "cannot schedule new futures after shutdown": close() ran
-            # between submits.  Finish the remaining shards serially.
-            tail = [job() for job in jobs[len(futures):]]
-            return [future.result() for future in futures] + tail
-        return [future.result() for future in futures]
-
-    def _map_shards(self, fn: Callable[[ShardProtocol], T]) -> List[T]:
-        """Apply ``fn`` to every shard, in shard order (all-or-nothing)."""
-        return self._run_jobs([partial(fn, shard) for shard in self.shards])
-
-    def _probe_jobs(
-        self, fn: Callable[[int, ShardProtocol], T], point: str
-    ) -> List[Callable[[], T]]:
-        """Per-shard strict probe jobs, each guarded by fault point ``point``.
-
-        ``fn`` receives ``(ordinal, shard)`` — local probes use the shard,
-        process-mode probes use the ordinal to address the worker pool.
-        """
-
-        def job(si: int, shard: ShardProtocol) -> T:
-            trip(point, key=str(si))
-            return fn(si, shard)
-
-        return [partial(job, si, shard) for si, shard in enumerate(self.shards)]
-
-    def _scatter_health(
+    def _scatter(
         self,
-        tracker: HealthTracker,
-        fn: Callable[[int, ShardProtocol], T],
-        point: str,
-    ) -> List[Optional[T]]:
-        """Health-gated scatter: per-shard result, or ``None`` for a shard
-        that failed this probe or is sitting out a backoff/quarantine
-        window.  Every outcome is recorded to the tracker, which is what
-        drives the retry → quarantine → reopen lifecycle.
+        calls: Iterable[ShardCall[T]],
+        point: Optional[str] = None,
+        heal: bool = True,
+    ) -> List[T]:
+        """Run each ``(ordinal, call)`` on its shard, serially and in order.
+
+        The one loop every probe goes through.  Without failure domains
+        it is strict: any shard error raises through.  With them, a shard
+        sitting out a backoff/quarantine window is skipped and a failing
+        call is recorded to the tracker and contributes nothing — the
+        result list covers the reachable shards only.  A succeeding call
+        is recorded too (driving retry → quarantine → reopen), unless
+        ``heal=False``: a metadata read such as a df lookup must not heal
+        a shard whose probes keep failing.  ``point`` names the fault
+        point tripped, keyed by ordinal, before each call.
         """
-
-        def attempt(si: int, shard: ShardProtocol) -> Optional[T]:
-            if not tracker.available(si):
-                return None
+        tracker = self._health
+        out: List[T] = []
+        for si, call in calls:
+            if tracker is not None and not tracker.available(si):
+                continue
             try:
-                trip(point, key=str(si))
-                result = fn(si, shard)
+                if point is not None:
+                    trip(point, key=str(si))
+                result = call(self.shards[si])
             except Exception as exc:
+                if tracker is None:
+                    raise
                 tracker.record_failure(si, exc)
-                return None
-            tracker.record_success(si)
-            return result
-
-        return self._run_jobs(
-            [partial(attempt, si, shard) for si, shard in enumerate(self.shards)]
-        )
+                continue
+            if tracker is not None and heal:
+                tracker.record_success(si)
+            out.append(result)
+        return out
 
     def global_idf(self, term: str) -> float:
         """Lucene-classic IDF from corpus-global document frequencies.
@@ -326,108 +243,47 @@ class ShardedCorpus:
         :meth:`InvertedIndex.idf`, evaluated over the whole corpus (each
         document lives in exactly one shard, so global df is the sum of
         shard dfs); cached because the posting structure is immutable
-        after construction.
+        after construction.  See :meth:`_global_idfs` for how failure
+        domains narrow it to reachable shards.
+        """
+        return self._global_idfs([term])[term]
+
+    def _global_idfs(self, terms: Iterable[str]) -> Dict[str, float]:
+        """Corpus-global IDF for every term, resolved in one df scatter.
+
+        :meth:`search` resolves its terms here *before* probing any shard,
+        so one scatter scores every shard with the same values even if a
+        shard fails mid-scatter.
 
         With failure domains enabled and any shard unhealthy, the df is
         summed over *reachable* shards only — the IDF the partial answer
         is actually scored with — and bypasses the cache, so values
         computed under partial visibility never leak into full-coverage
         probes (or vice versa).
-
-        In process mode the df probes route to the worker pool (one IPC
-        round per shard) so the parent never materializes shard indexes;
-        see :meth:`_global_idfs` for the batched form the scatter uses.
         """
-        if self._procpool is not None:
-            return self._global_idfs([term])[term]
         tracker = self._health
-        if tracker is not None and not tracker.all_healthy():
-            df = 0
-            for si, shard in enumerate(self.shards):
-                if not tracker.available(si):
-                    continue
-                try:
-                    df += shard.index.document_frequency(term)
-                except Exception as exc:
-                    tracker.record_failure(si, exc)
-            return lucene_idf(self._num_tables, df)
-        cached = self._idf_cache.get(term)
-        if cached is None:
-            df = sum(s.index.document_frequency(term) for s in self.shards)
-            cached = lucene_idf(self._num_tables, df)
-            self._idf_cache.put(term, cached)
-        return cached
-
-    def _global_idfs(self, terms: Sequence[str]) -> Dict[str, float]:
-        """Corpus-global IDF for every term, batched over the worker pool.
-
-        Phase one of the process-mode scatter: one
-        ``document_frequencies`` request per shard covers *all* uncached
-        terms, the parent sums the per-shard dfs (each document lives in
-        exactly one shard) and applies :func:`lucene_idf` — the same
-        expression, over the same counts, as the serial path, which is
-        what lets phase two ship explicit ``{term: idf}`` floats to the
-        workers and stay bit-identical.
-
-        Mirrors :meth:`global_idf`'s visibility rules: with any shard
-        unhealthy (or failing mid-batch), dfs cover reachable shards only
-        and nothing is cached.  Without failure domains a worker failure
-        raises through — the strict all-or-nothing contract.
-        """
-        pool = self._procpool
-        if pool is None:  # pragma: no cover - callers gate on the pool
-            raise RuntimeError("_global_idfs needs process parallel mode")
-        unique = list(dict.fromkeys(terms))
-        tracker = self._health
-        degraded = tracker is not None and not tracker.all_healthy()
+        exact = tracker is None or tracker.all_healthy()
         out: Dict[str, float] = {}
         missing: List[str] = []
-        if degraded:
-            missing = unique
-        else:
-            for term in unique:
-                cached = self._idf_cache.get(term)
-                if cached is None:
-                    missing.append(term)
-                else:
-                    out[term] = cached
+        for term in dict.fromkeys(terms):
+            cached = self._idf_cache.get(term) if exact else None
+            if cached is None:
+                missing.append(term)
+            else:
+                out[term] = cached
         if not missing:
             return out
-        if tracker is None:
-            counts = self._run_jobs([
-                partial(pool.document_frequencies, si, missing)
-                for si in range(self.num_shards)
-            ])
-            for term in missing:
-                idf = lucene_idf(
-                    self._num_tables, sum(c[term] for c in counts)
-                )
-                self._idf_cache.put(term, idf)
-                out[term] = idf
-            return out
-
-        def attempt(si: int) -> Optional[Dict[str, int]]:
-            if not tracker.available(si):
-                return None
-            try:
-                result = pool.document_frequencies(si, missing)
-            except Exception as exc:
-                tracker.record_failure(si, exc)
-                return None
-            tracker.record_success(si)
-            return result
-
-        gathered = self._run_jobs(
-            [partial(attempt, si) for si in range(self.num_shards)]
+        counts = self._scatter(
+            self._every_shard(
+                lambda s: [s.index.document_frequency(t) for t in missing]
+            ),
+            heal=False,
         )
-        reached = [c for c in gathered if c is not None]
-        partial_visibility = degraded or len(reached) < self.num_shards
-        for term in missing:
-            idf = lucene_idf(
-                self._num_tables, sum(c[term] for c in reached)
-            )
+        exact = exact and len(counts) == self.num_shards
+        for j, term in enumerate(missing):
+            idf = lucene_idf(self._num_tables, sum(c[j] for c in counts))
             out[term] = idf
-            if not partial_visibility:
+            if exact:
                 self._idf_cache.put(term, idf)
         return out
 
@@ -440,10 +296,11 @@ class ShardedCorpus:
         fields: Optional[Iterable[str]] = None,
         with_field_scores: bool = False,
     ) -> List[SearchHit]:
-        """Parallel scatter-gather disjunctive retrieval.
+        """Scatter-gather disjunctive retrieval.
 
-        Each shard returns its local top-``limit`` scored with
-        :meth:`global_idf`; the gather concatenates, selects the global
+        Each shard returns its local top-``limit`` scored with the
+        corpus-global IDF, resolved once for the whole scatter
+        (:meth:`_global_idfs`); the gather concatenates, selects the global
         top-``limit`` by ``(-score, doc_id)`` with a bounded heap, and
         returns it.  Any document in the global top-``limit`` is
         necessarily in its own shard's top-``limit`` (a shard holds a
@@ -461,45 +318,16 @@ class ShardedCorpus:
         if self._num_tables == 0:
             return []
         field_list = list(fields) if fields is not None else None
-
-        pool = self._procpool
-        if pool is not None:
-            # Two-phase process scatter: resolve every term's corpus-
-            # global IDF first (batched df scatter), then ship the
-            # explicit floats with the search requests — workers score
-            # with exactly the values the serial path would.
-            idf_values = self._global_idfs(terms)
-
-            def probe(si: int, s: ShardProtocol) -> List[SearchHit]:
-                return [
-                    SearchHit(doc_id, score, field_scores)
-                    for doc_id, score, field_scores in pool.search(
-                        si, terms, limit, field_list, idf_values,
-                        with_field_scores,
-                    )
-                ]
-        else:
-
-            def probe(si: int, s: ShardProtocol) -> List[SearchHit]:
-                return s.index.search(
-                    terms, limit=limit, fields=field_list,
-                    idf=self.global_idf,
+        idf = self._global_idfs(terms).__getitem__
+        results = self._scatter(
+            self._every_shard(
+                lambda s: s.index.search(
+                    terms, limit=limit, fields=field_list, idf=idf,
                     with_field_scores=with_field_scores,
                 )
-
-        tracker = self._health
-        if tracker is None:
-            results = self._run_jobs(
-                self._probe_jobs(probe, POINT_SHARD_SEARCH)
-            )
-        else:
-            results = [
-                hits
-                for hits in self._scatter_health(
-                    tracker, probe, POINT_SHARD_SEARCH
-                )
-                if hits is not None
-            ]
+            ),
+            POINT_SHARD_SEARCH,
+        )
         merged = [hit for hits in results for hit in hits]
         return heapq.nsmallest(
             limit, merged, key=lambda h: (-h.score, h.doc_id)
@@ -510,30 +338,12 @@ class ShardedCorpus:
     ) -> Set[str]:
         """Scatter-gather conjunctive containment probe (PMI²'s H and B sets)."""
         field_list = list(fields)
-
-        pool = self._procpool
-        if pool is not None:
-
-            def probe(si: int, s: ShardProtocol) -> Set[str]:
-                return set(pool.docs_containing_all(si, terms, field_list))
-        else:
-
-            def probe(si: int, s: ShardProtocol) -> Set[str]:
-                return s.index.docs_containing_all(terms, field_list)
-
-        tracker = self._health
-        if tracker is None:
-            results = self._run_jobs(
-                self._probe_jobs(probe, POINT_SHARD_SEARCH)
-            )
-        else:
-            results = [
-                docs
-                for docs in self._scatter_health(
-                    tracker, probe, POINT_SHARD_SEARCH
-                )
-                if docs is not None
-            ]
+        results = self._scatter(
+            self._every_shard(
+                lambda s: s.index.docs_containing_all(terms, field_list)
+            ),
+            POINT_SHARD_SEARCH,
+        )
         out: Set[str] = set()
         for docs in results:
             out.update(docs)
@@ -550,27 +360,11 @@ class ShardedCorpus:
         shard are skipped (recorded to the tracker) rather than raising —
         the same partial-result contract as :meth:`search`.
         """
-        tracker = self._health
-        out: List[WebTable] = []
-        if tracker is None:
-            for table_id in table_ids:
-                store = self.shards[shard_of(table_id, self.num_shards)].store
-                if table_id in store:
-                    out.append(store.get(table_id))
-            return out
-        for table_id in table_ids:
-            si = shard_of(table_id, self.num_shards)
-            if not tracker.available(si):
-                continue
-            try:
-                store = self.shards[si].store
-                if table_id in store:
-                    out.append(store.get(table_id))
-            except Exception as exc:
-                tracker.record_failure(si, exc)
-                continue
-            tracker.record_success(si)
-        return out
+        tables = self._scatter(
+            (shard_of(table_id, self.num_shards), partial(_fetch, table_id))
+            for table_id in table_ids
+        )
+        return [table for table in tables if table is not None]
 
     def ids(self) -> List[str]:
         """All table ids, shard-major (shard 0's insertion order first)."""
@@ -586,8 +380,7 @@ class ShardedCorpus:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardedCorpus({self.num_shards} shards, "
-            f"{self.num_tables} tables, workers={self.probe_workers}, "
-            f"mode={self.parallel_mode})"
+            f"{self.num_tables} tables)"
         )
 
     # -- failure domains -------------------------------------------------------
@@ -610,34 +403,6 @@ class ShardedCorpus:
         """Per-shard health diagnostics (``None`` without failure domains)."""
         tracker = self._health
         return tracker.snapshot() if tracker is not None else None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the scatter pools (idempotent).
-
-        Long-lived processes that cycle through corpora (benchmark sweeps,
-        index reloads) should close discarded instances; probes after
-        ``close`` fall back to the serial scatter path.  The executor
-        reference is cleared *before* the shutdown so scatters starting
-        mid-close go serial, while in-flight scatters hold their own
-        snapshot of the pool and are waited for.  In process mode the
-        worker pool shuts down too; a probe arriving after ``close``
-        would respawn it, so close only discarded corpora.
-        """
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        pool = self._procpool
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> ShardedCorpus:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # -- persistence -----------------------------------------------------------
 
@@ -668,11 +433,9 @@ class ShardedCorpus:
     def load(
         cls,
         path: Union[str, Path],
-        probe_workers: int = 1,
         ignore_journal: bool = False,
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        parallel_mode: str = "thread",
     ) -> ShardedCorpus:
         """Load a corpus saved by :meth:`save` in O(read) — no re-indexing.
 
@@ -681,10 +444,6 @@ class ShardedCorpus:
         :meth:`IndexedCorpus.load`); :func:`load_corpus` is the journal-
         aware entry point.  ``health`` enables per-shard failure domains
         (see :meth:`search`); ``clock`` injects the tracker's clock.
-        ``parallel_mode`` selects the scatter execution (see
-        :data:`PARALLEL_MODES`); loading from a persisted directory is
-        what makes ``"process"`` possible — worker processes reopen their
-        shards from this very path.
         """
         path = Path(path)
         manifest = read_manifest(path)
@@ -714,17 +473,21 @@ class ShardedCorpus:
         # build time; re-hashing every id would make load O(num_tables)
         # (and materialize every lazy shard).
         return cls(
-            shards=shards, stats=stats, probe_workers=probe_workers,
-            validate=False, health=health, clock=clock,
-            parallel_mode=parallel_mode, corpus_path=path,
+            shards=shards, stats=stats, validate=False, health=health,
+            clock=clock,
         )
+
+
+def _fetch(table_id: str, shard: ShardProtocol) -> Optional[WebTable]:
+    """``table_id`` from ``shard``'s store, or ``None`` if it holds none."""
+    store = shard.store
+    return store.get(table_id) if table_id in store else None
 
 
 def build_sharded_corpus(
     tables: Iterable[WebTable],
     num_shards: int,
     boosts: Optional[Dict[str, float]] = None,
-    probe_workers: int = 1,
 ) -> ShardedCorpus:
     """Hash-partition ``tables`` across ``num_shards`` indexed shards.
 
@@ -747,10 +510,7 @@ def build_sharded_corpus(
         for index, store in zip(indexes, stores)
     ]
     # validate=False: the loop above IS the shard_of() partition.
-    return ShardedCorpus(
-        shards=shards, stats=stats, probe_workers=probe_workers,
-        validate=False,
-    )
+    return ShardedCorpus(shards=shards, stats=stats, validate=False)
 
 
 def _restore_backup_if_orphaned(path: Path) -> None:
@@ -775,12 +535,10 @@ def _restore_backup_if_orphaned(path: Path) -> None:
 
 def load_corpus(
     path: Union[str, Path],
-    probe_workers: int = 1,
     mutable: bool = True,
     stats_staleness: int = 0,
     health: Optional[HealthPolicy] = None,
     clock: Optional[Callable[[], float]] = None,
-    parallel_mode: str = "thread",
 ) -> CorpusProtocol:
     """Open a persisted corpus directory, whichever kind it holds.
 
@@ -796,8 +554,8 @@ def load_corpus(
     Loads the shard snapshots in O(read), replays any surviving
     write-ahead journal (``repro.index.journal``), and returns a mutable
     :class:`~repro.index.journal.JournaledCorpus` wrapping the snapshot
-    backend — an :class:`IndexedCorpus` for ``kind: monolithic`` manifests
-    (``probe_workers`` is irrelevant there), a :class:`ShardedCorpus` for
+    backend — an :class:`IndexedCorpus` for ``kind: monolithic`` manifests,
+    a :class:`ShardedCorpus` for
     ``kind: sharded``.  A crash that interrupted a previous save or
     compaction between its two directory renames is healed here by
     restoring the backup sibling.
@@ -812,12 +570,6 @@ def load_corpus(
     :meth:`ShardedCorpus.search`); monolithic corpora have a single
     failure domain and ignore it.  ``clock`` injects the health
     tracker's clock (tests).
-
-    ``parallel_mode`` selects the sharded scatter execution (see
-    :data:`PARALLEL_MODES`); monolithic corpora have nothing to scatter
-    and ignore it.  Note the journaled wrapper's *delta-merge* probes
-    (only taken while unfolded journal records exist) run in the parent
-    regardless of mode; compaction returns queries to the pooled path.
     """
     from .journal import JournaledCorpus
 
@@ -828,8 +580,7 @@ def load_corpus(
         base = IndexedCorpus.load(path, ignore_journal=mutable)
     elif manifest["kind"] == "sharded":
         base = ShardedCorpus.load(
-            path, probe_workers=probe_workers, ignore_journal=mutable,
-            health=health, clock=clock, parallel_mode=parallel_mode,
+            path, ignore_journal=mutable, health=health, clock=clock
         )
     else:
         raise ValueError(f"{path}: unknown corpus kind {manifest['kind']!r}")

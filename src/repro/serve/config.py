@@ -67,10 +67,13 @@ class ServeConfig:
     min_coverage: float = 0.0
     #: How queued requests execute: ``"thread"`` (a pool of ``workers``
     #: OS threads, the default) or ``"async"`` (one event-loop thread
-    #: running up to ``workers`` queries concurrently as asyncio tasks —
-    #: pairs with the engine's ``parallel_mode="process"`` so the loop
-    #: stays responsive while worker processes burn CPU).  Responses are
-    #: byte-identical across both modes.
+    #: running up to ``workers`` queries concurrently as asyncio tasks,
+    #: interleaved at stage boundaries).  Queries are CPU-bound under
+    #: the GIL; on a 2-vCPU host async measured level with or slightly
+    #: ahead of the thread pool (median 36.5–41.5 against 35.8–38.3 qps
+    #: at 2 clients, caches off, scale 1.0, measured with
+    #: ``benchmarks/bench_parallel.py``).  Responses are byte-identical
+    #: across both modes.
     execution_mode: str = "thread"
 
     def __post_init__(self) -> None:

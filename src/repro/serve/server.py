@@ -167,6 +167,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s is not None:
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
+        if self.close_connection:
+            # Tell a keep-alive client not to send its next request on
+            # this socket; otherwise it races the close and loses that
+            # request to a reset it may not retry.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

@@ -76,16 +76,6 @@ class EngineConfig:
     #: :class:`WWTService` loads it at construction when no corpus object
     #: is passed.
     index_path: Optional[str] = None
-    #: Scatter-gather width for sharded probes (1 = serial scatter, which
-    #: wins for small in-memory shards; raise it for large/disk shards).
-    probe_workers: int = 1
-    #: How a sharded corpus executes its scatter: ``"serial"`` (in the
-    #: calling thread), ``"thread"`` (GIL-bound thread pool — the
-    #: default), or ``"process"`` (persistent spawn workers, each holding
-    #: its own mmap'd shard; needs ``index_path``/a persisted corpus).
-    #: Monolithic corpora ignore it.  Rankings are bit-identical across
-    #: all three modes (see DESIGN.md, "Process-parallel scatter-gather").
-    parallel_mode: str = "thread"
     #: Journal depth at which :meth:`WWTService.add_tables` /
     #: :meth:`WWTService.delete_tables` trigger an automatic ``compact()``
     #: of the served corpus (``None`` = never; compact manually or via
@@ -126,13 +116,6 @@ class EngineConfig:
             raise ValueError("page_size must be >= 1")
         if self.num_shards is not None and self.num_shards < 1:
             raise ValueError("num_shards must be >= 1 (None for monolithic)")
-        if self.probe_workers < 1:
-            raise ValueError("probe_workers must be >= 1")
-        if self.parallel_mode not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown parallel_mode {self.parallel_mode!r}; "
-                "options: ['process', 'serial', 'thread']"
-            )
         if self.index_format not in ("json", "bin"):
             raise ValueError(
                 f"unknown index_format {self.index_format!r}; "
@@ -181,8 +164,6 @@ class EngineConfig:
             "num_shards": self.num_shards,
             "index_path": self.index_path,
             "index_format": self.index_format,
-            "probe_workers": self.probe_workers,
-            "parallel_mode": self.parallel_mode,
             "auto_compact_threshold": self.auto_compact_threshold,
             "deadline_ms": self.deadline_ms,
             "degraded_ok": self.degraded_ok,
@@ -212,9 +193,8 @@ class EngineConfig:
         top_known = {
             "inference", "cache_size", "probe_cache_size",
             "feature_cache_size", "max_workers", "page_size",
-            "num_shards", "index_path", "index_format", "probe_workers",
-            "parallel_mode", "auto_compact_threshold", "deadline_ms",
-            "degraded_ok",
+            "num_shards", "index_path", "index_format",
+            "auto_compact_threshold", "deadline_ms", "degraded_ok",
         }
         unknown = sorted(set(data) - top_known)
         if unknown:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,17 +143,9 @@ class WWTService:
                     "EngineConfig with index_path set"
                 )
             corpus = self.config.index_path
-        #: Whether this service created the corpus (and so owns its
-        #: resources — see :meth:`close`).
-        self._owns_corpus = isinstance(corpus, (str, Path))
         if isinstance(corpus, (str, Path)):
-            corpus = load_corpus(
-                corpus,
-                probe_workers=self.config.probe_workers,
-                parallel_mode=self.config.parallel_mode,
-            )
+            corpus = load_corpus(corpus)
         self.corpus = corpus
-        self._warn_if_probe_workers_moot()
         self._result_cache = LRUCache(self.config.cache_size)
         self._probe_cache = LRUCache(self.config.probe_cache_size)
         #: Per-(query, table) feature memo shared by the probe's
@@ -182,44 +173,6 @@ class WWTService:
         self._degraded_answers = 0
         self._degraded_reasons: Dict[str, int] = {}
         self._partial_answers = 0
-
-    def _warn_if_probe_workers_moot(self) -> None:
-        """Warn once, at construction, when ``probe_workers`` cannot help.
-
-        The setting only fans out a *sharded* corpus's scatter, and only
-        in a pooled parallel mode — for a monolithic corpus, a single
-        shard, or ``parallel_mode="serial"`` it silently did nothing,
-        which cost real debugging time.  Surfacing the mismatch where the
-        config meets the corpus (here) beats validating it in
-        ``EngineConfig``, which cannot know the corpus shape.
-        """
-        if self.config.probe_workers <= 1:
-            return
-        num_shards = getattr(self.corpus, "num_shards", None)
-        if num_shards is None:
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect: "
-                "the served corpus is monolithic (no shards to scatter "
-                "over); build a sharded corpus or drop the setting",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        elif num_shards == 1:
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect: "
-                "the sharded corpus has a single shard; rebuild with "
-                "num_shards > 1 or drop the setting",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        elif self.config.parallel_mode == "serial":
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect "
-                'with parallel_mode="serial"; use "thread" or "process" '
-                "to fan the scatter out",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # -- the pipeline -----------------------------------------------------
 
@@ -738,14 +691,12 @@ class WWTService:
             self._pmi_scorer.clear_caches()
 
     def close(self) -> None:
-        """Release resources the service created (idempotent).
+        """Release held resources (idempotent).
 
-        A corpus loaded here from a path (rather than passed in) may own a
-        scatter thread pool; closing the service closes it.  A corpus the
-        caller constructed is left untouched — they own its lifecycle.
+        The service owns no pool and the corpora it loads have no close
+        step, so there is nothing to release; the method keeps
+        ``with WWTService(...)`` and explicit ``close()`` calls working.
         """
-        if self._owns_corpus and hasattr(self.corpus, "close"):
-            self.corpus.close()
 
     def __enter__(self) -> WWTService:
         return self

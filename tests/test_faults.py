@@ -1,7 +1,7 @@
 """Tests for ``repro.faults``: deterministic injection, the per-shard
 health lifecycle on a fake clock, partial scatter-gather with coverage,
-the close-vs-scatter race, the serve client's narrow retry, and the
-service-level degradation counters."""
+the serve client's narrow retry, and the service-level degradation
+counters."""
 
 import http.client
 import socket
@@ -68,12 +68,12 @@ def ranking(hits):
     return [(h.doc_id, h.score) for h in hits]
 
 
-def sharded_with_health(tables, num_shards, policy, clock, probe_workers=1):
+def sharded_with_health(tables, num_shards, policy, clock):
     """A health-enabled corpus over the standard CRC32 partition."""
     built = build_sharded_corpus(tables, num_shards)
     return ShardedCorpus(
-        built.shards, built.stats, probe_workers=probe_workers,
-        validate=False, health=policy, clock=clock,
+        built.shards, built.stats, validate=False, health=policy,
+        clock=clock,
     )
 
 
@@ -142,7 +142,7 @@ class TestTriggerPolicies:
 
     def test_known_points_catalog_is_closed(self):
         assert POINT_SHARD_SEARCH in KNOWN_POINTS
-        assert len(KNOWN_POINTS) == 6
+        assert len(KNOWN_POINTS) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -426,47 +426,63 @@ class TestShardedFailureDomains:
         assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
         assert corpus.coverage().complete
 
+    def test_partial_answer_scores_with_one_idf(self):
+        # A shard failing mid-scatter must not switch the IDF the later
+        # shards score with: every surviving hit keeps its fault-free score.
+        tables = make_tables(40)
+        corpus = sharded_with_health(tables, 4, self.POLICY, FakeClock())
+        fault_free = {
+            h.doc_id: h.score
+            for h in build_sharded_corpus(tables, 4).search(
+                ["name"], limit=len(tables)
+            )
+        }
+        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
+            partial = corpus.search(["name"], limit=len(tables))
+        assert 0 < len(partial) < len(tables)
+        assert ranking(partial) == [
+            (h.doc_id, fault_free[h.doc_id]) for h in partial
+        ]
 
-# ---------------------------------------------------------------------------
-# close() vs in-flight scatter (the submit/shutdown race)
-
-
-class TestCloseScatterRace:
-    def test_close_during_submission_falls_back_serially(self):
-        tables = make_tables(32)
-        corpus = build_sharded_corpus(tables, 4, probe_workers=4)
-        baseline = corpus.search(["name"], limit=50)
-        # Shut the pool down behind _run_jobs's back, without nulling the
-        # reference — exactly the window a concurrent close() can win.
-        corpus._executor.shutdown(wait=True)
-        assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
-        corpus.close()  # still idempotent afterwards
-        assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
-
-    def test_concurrent_close_never_breaks_a_probe(self):
-        tables = make_tables(32)
-        corpus = build_sharded_corpus(tables, 4, probe_workers=4)
-        baseline = corpus.search(["name"], limit=50)
-        errors = []
-        results = []
-        started = threading.Event()
-
-        def prober():
-            started.set()
-            try:
-                for _ in range(50):
-                    results.append(ranking(corpus.search(["name"], limit=50)))
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        thread = threading.Thread(target=prober)
-        thread.start()
-        started.wait(timeout=10)
-        corpus.close()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert errors == []
-        assert all(result == ranking(baseline) for result in results)
+    @pytest.mark.parametrize("tracked", [False, True], ids=["strict", "tracked"])
+    @pytest.mark.parametrize(
+        "probe", ["search", "docs_containing_all", "get_many"]
+    )
+    def test_one_loop_raises_strict_and_degrades_tracked(self, probe, tracked):
+        tables = make_tables()
+        ids = [t.table_id for t in tables]
+        fault_free = build_sharded_corpus(tables, 3)
+        corpus = (
+            sharded_with_health(tables, 3, self.POLICY, FakeClock())
+            if tracked else build_sharded_corpus(tables, 3)
+        )
+        shard1_ids = set(fault_free.shards[1].store.ids())
+        calls = {
+            "search": lambda c: {h.doc_id for h in c.search(["name"], 50)},
+            "docs_containing_all": lambda c: c.docs_containing_all(
+                ["name"], ["header"]
+            ),
+            "get_many": lambda c: {t.table_id for t in c.get_many(ids)},
+        }
+        call = calls[probe]
+        rule = (
+            FaultRule(
+                POINT_STORE_GET, Once(),
+                key=next(i for i in ids if i in shard1_ids),
+            )
+            if probe == "get_many"
+            else FaultRule(POINT_SHARD_SEARCH, Once(), key="1")
+        )
+        with injected(rule) as injector:
+            if tracked:
+                got = call(corpus)
+            else:
+                with pytest.raises(InjectedFault):
+                    call(corpus)
+            assert injector.fires() == 1
+        if tracked:
+            assert got == call(fault_free) - shard1_ids
+            assert corpus.health_snapshot()[1]["state"] != DOMAIN_HEALTHY
 
 
 # ---------------------------------------------------------------------------

@@ -422,9 +422,14 @@ class TestServerAdmission:
                 assert status == 429
                 assert body["error"]["code"] == ERROR_RATE_LIMITED
                 assert int(headers["retry-after"]) >= 1
+                # A refusal closes the socket and says so, so the next
+                # request on this keep-alive client reconnects instead of
+                # dying on a reset.
+                assert headers["connection"] == "close"
+                assert a.query(QUERY_BODY)[0] == 429
             with ServeClient(server.host, server.port, client_id="b") as b:
                 assert b.query(QUERY_BODY)[0] == 200
-            assert server.stats().rejected_rate_limited == 1
+            assert server.stats().rejected_rate_limited == 2
         finally:
             server.shutdown()
 

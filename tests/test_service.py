@@ -394,14 +394,11 @@ class TestShardedServing:
     """EngineConfig index knobs + WWTService corpus loading."""
 
     def test_new_knobs_round_trip(self):
-        config = EngineConfig(
-            num_shards=4, index_path="/tmp/corpus", probe_workers=2
-        )
+        config = EngineConfig(num_shards=4, index_path="/tmp/corpus")
         restored = EngineConfig.from_dict(config.to_dict())
         assert restored == config
         assert restored.num_shards == 4
         assert restored.index_path == "/tmp/corpus"
-        assert restored.probe_workers == 2
 
     def test_index_path_coerced_to_str(self, tmp_path):
         config = EngineConfig(index_path=tmp_path / "corpus")
@@ -411,8 +408,6 @@ class TestShardedServing:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(num_shards=0)
-        with pytest.raises(ValueError):
-            EngineConfig(probe_workers=0)
 
     def test_no_corpus_no_path_rejected(self):
         with pytest.raises(ValueError, match="index_path"):
@@ -426,8 +421,7 @@ class TestShardedServing:
 
         by_path = WWTService(tmp_path / "corpus")
         by_config = WWTService(
-            config=EngineConfig(index_path=str(tmp_path / "corpus"),
-                                probe_workers=2)
+            config=EngineConfig(index_path=str(tmp_path / "corpus"))
         )
         in_memory = WWTService(small_env.synthetic.corpus)
 
@@ -439,28 +433,3 @@ class TestShardedServing:
             assert [r.cells for r in response.rows] == (
                 [r.cells for r in expected.rows]
             )
-
-    def test_service_close_owns_loaded_corpus(self, small_env, tmp_path):
-        from repro.index import build_sharded_corpus
-
-        tables = list(small_env.synthetic.corpus.store)
-        build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
-        with WWTService(
-            tmp_path / "corpus", EngineConfig(probe_workers=2)
-        ) as service:
-            assert service._owns_corpus
-            assert service.corpus._executor is not None
-            service.answer("country | currency")
-        assert service.corpus._executor is None
-
-    def test_service_close_leaves_caller_corpus_alone(self, small_env):
-        from repro.index import build_sharded_corpus
-
-        tables = list(small_env.synthetic.corpus.store)
-        corpus = build_sharded_corpus(tables, 2, probe_workers=2)
-        try:
-            service = WWTService(corpus)
-            service.close()
-            assert corpus._executor is not None  # caller owns it
-        finally:
-            corpus.close()

@@ -146,23 +146,12 @@ class TestRankingEquivalence:
                 t.table_id for t in b.tables
             ]
 
-    def test_parallel_scatter_matches_serial(self, corpus_tables):
-        serial = build_sharded_corpus(corpus_tables, 4, probe_workers=1)
-        parallel = build_sharded_corpus(corpus_tables, 4, probe_workers=3)
-        for wq in WORKLOAD[::7]:
-            tokens = wq.query.all_tokens()
-            a = serial.search(tokens, limit=40)
-            b = parallel.search(tokens, limit=40)
-            assert [(h.doc_id, h.score) for h in a] == [
-                (h.doc_id, h.score) for h in b
-            ]
-
 
 class TestPersistence:
     def test_sharded_round_trip(self, corpus_tables, sharded_by_k, tmp_path):
         sharded = sharded_by_k[4]
         path = sharded.save(tmp_path / "corpus")
-        loaded = load_corpus(path, probe_workers=2)
+        loaded = load_corpus(path)
         # load_corpus wraps the snapshot in a mutable JournaledCorpus;
         # with an empty journal it is a transparent front for the base.
         assert isinstance(loaded, JournaledCorpus)
@@ -263,13 +252,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="corrupt term statistics"):
             load_corpus(tmp_path / "c")
 
-    def test_build_corpus_index_forwards_probe_workers(self):
-        corpus = build_corpus_index(
-            make_tables(8), num_shards=2, probe_workers=2
-        )
-        assert corpus.probe_workers == 2
-        assert corpus._executor is not None
-
     def test_load_rejects_non_corpus_dir(self, tmp_path):
         with pytest.raises(ValueError, match="not a persisted corpus"):
             load_corpus(tmp_path)
@@ -326,10 +308,6 @@ class TestShardedValidation:
         with pytest.raises(ValueError, match="at least one shard"):
             ShardedCorpus([], TermStatistics())
 
-    def test_bad_workers_rejected(self, corpus_tables):
-        with pytest.raises(ValueError, match="probe_workers"):
-            build_sharded_corpus(corpus_tables[:4], 2, probe_workers=0)
-
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ValueError, match="num_shards"):
             build_sharded_corpus(make_tables(2), 0)
@@ -356,19 +334,6 @@ class TestShardedValidation:
         half_b = build(make_tables(4, prefix="b"))
         with pytest.raises(ValueError, match="hashes to shard"):
             ShardedCorpus([half_a, half_b], half_a.stats)
-
-    def test_close_shuts_down_executor_and_falls_back_serial(
-        self, corpus_tables
-    ):
-        with build_sharded_corpus(corpus_tables, 4, probe_workers=2) as c:
-            assert c._executor is not None
-            before = c.search(["country"], limit=10)
-        assert c._executor is None
-        c.close()  # idempotent
-        after = c.search(["country"], limit=10)  # serial fallback still works
-        assert [(h.doc_id, h.score) for h in before] == [
-            (h.doc_id, h.score) for h in after
-        ]
 
 
 class TestProbeDeterminism:
