@@ -14,8 +14,8 @@ answer:
   consolidate) through ``WWTService`` with feature memoization on vs off,
   per-stage latency split from ``QueryTiming``, answer rows compared for
   equality.
-- **cache hit rates**: the feature cache's and the edge memo's counters
-  over the workload.
+- **cache hit rates**: the counters of the feature cache, the edge memo
+  and the table part-index memo over the workload.
 
 Emits machine-readable ``BENCH_hotpath.json``; CI runs ``--smoke`` and
 uploads the artifact.  The speedup gate mirrors
@@ -125,10 +125,11 @@ def bench_pipeline(corpus, queries, reps):
     """Full serve path with feature memoization on vs off, per query.
 
     Both services run with the result/probe LRUs disabled so every rep
-    exercises the whole pipeline; "memoized" differs only in the
-    per-(query, table) feature cache, which is what turns the facade's
-    problem assembly into an incremental extension of the probe's
-    confidence pass.  Answer rows are compared on the first rep.
+    exercises the whole pipeline, and both extend the probe's confidence
+    pass into the full problem; "memoized" differs only in the feature
+    cache and the edge and part-index memos it carries, which reuse
+    query-independent work across the workload's queries.  Answer rows
+    are compared on the first rep.
     """
     plain = WWTService(corpus, EngineConfig(
         cache_size=0, probe_cache_size=0, feature_cache_size=0,
@@ -143,10 +144,10 @@ def bench_pipeline(corpus, queries, reps):
     answer_diffs = 0
     for rep in range(reps):
         if rep:
-            # Drop the feature cache between reps so every rep measures
-            # the same *intra-query* memoization (probe pass -> facade
-            # assembly), never a warm replay of the previous rep — warm
-            # identical repeats are the result cache's job in production.
+            # Drop the memos between reps so every rep measures the same
+            # cold pass over the workload, never a warm replay of the
+            # previous rep — warm identical repeats are the result
+            # cache's job in production.
             memoized.clear_caches()
         for qi, query in enumerate(queries):
             t0 = time.perf_counter()
@@ -189,6 +190,7 @@ def bench_pipeline(corpus, queries, reps):
         "answer_diffs": answer_diffs,
         "feature_cache": stats.feature_cache.to_dict(),
         "edge_cache": stats.edge_cache.to_dict(),
+        "part_index_cache": stats.part_index_cache.to_dict(),
     }
 
 
@@ -262,6 +264,10 @@ def main(argv=None) -> int:
           f"edge-cache hits/misses "
           f"{pipeline['edge_cache']['hits']}/"
           f"{pipeline['edge_cache']['misses']}, "
+          f"part-index hits/misses/size "
+          f"{pipeline['part_index_cache']['hits']}/"
+          f"{pipeline['part_index_cache']['misses']}/"
+          f"{pipeline['part_index_cache']['size']}, "
           f"answer diffs={pipeline['answer_diffs']}", flush=True)
 
     report = {

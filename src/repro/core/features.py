@@ -1,15 +1,16 @@
-"""Query-scoped feature memoization for the column-mapping hot path.
+"""Feature memoization for the column-mapping hot path.
 
-The pipeline evaluates :class:`~repro.core.model.ColumnFeatures` (SegSim,
-Cover, PMI² per query column) twice for every stage-1 table of every query:
-once inside ``two_stage_probe``'s confidence pass and again when the
-serving facade assembles the full inference problem moments later.  The
-features depend only on the query's analyzed keywords, the table's
-content, and the corpus statistics — none of which change between the two
-calls — so :class:`FeatureCache` memoizes them per ``(query, table)`` and
-:func:`~repro.core.model.build_problem` consults it, turning the facade's
-second assembly into an incremental extension that computes features for
-stage-2 tables only.
+:class:`~repro.core.model.ColumnFeatures` (SegSim, Cover, PMI² per query
+column) depend only on the query's analyzed keywords, the table's content
+and the corpus statistics, so :class:`FeatureCache` memoizes them per
+``(query, table)`` and :func:`~repro.core.model.build_problem` consults
+it.  Within one served query the features of the stage-1 tables are
+evaluated once: the probe's confidence pass builds the problem over them
+and ``column_map`` extends that same problem with the stage-2 tables
+(``build_problem(base=...)``).  The cache serves the paths that have no
+such problem to extend — a probe-cache hit, a skipped confidence stage,
+a stats object that changed between the two stages — and repeated
+assemblies outside the serving pipeline.
 
 **Invalidation** is by regime identity (see DESIGN.md, "Hot-path
 engine"): a cache is valid for one ``(stats, reliabilities, pmi_scorer)``
@@ -29,12 +30,14 @@ the cache on mutation themselves.  The serving facade always does
 ``delete_tables``), which is why serving is safe at any staleness
 setting.
 
-:class:`FeatureCache` also carries the edge layer's memo
-(:class:`EdgeMemo`): column profiles per table and matched column pairs
-per table pair, the query-independent part of
-:func:`~repro.core.edges.build_edges`.  It shares the feature cache's
-regime pin and generation token, so it is invalidated on exactly the same
-events.
+:class:`FeatureCache` also carries the query-independent memos of the
+two per-table builders: the edge layer's :class:`EdgeMemo` (column
+profiles per table and matched column pairs per table pair, the reusable
+part of :func:`~repro.core.edges.build_edges`) and each table's
+:class:`~repro.core.segsim.TablePartIndex`, the token sets SegSim and
+Cover score every query column against.  Both share the feature cache's
+regime pin and generation token, so they are invalidated on exactly the
+same events.
 
 :class:`BoundedCache` is the underlying thread-safe LRU; it also backs the
 corpus-level PMI² containment-probe caches
@@ -56,6 +59,7 @@ __all__ = [
     "EDGE_PROFILE_CACHE_SIZE",
     "EdgeMemo",
     "FeatureCache",
+    "PART_INDEX_CACHE_SIZE",
     "PMI_B_CACHE_SIZE",
     "PMI_H_CACHE_SIZE",
     "STATS_CACHE_SIZE",
@@ -79,6 +83,9 @@ EDGE_PROFILE_CACHE_SIZE = 4096
 #: Capacity of the edge memo's matched-pair cache (keyed by table-id pair
 #: and candidate column pairs; one entry is a few matched column triples).
 EDGE_MATCH_CACHE_SIZE = 32768
+#: Capacity of the table part-index cache (keyed by table id; one entry is
+#: one table's :class:`~repro.core.segsim.TablePartIndex`).
+PART_INDEX_CACHE_SIZE = 4096
 
 _MISS = object()
 
@@ -210,9 +217,11 @@ class FeatureCache:
     change, so a cache accidentally shared across corpora degrades to a
     correct cold cache instead of serving stale features.
 
-    It also owns the edge layer's memo (see :meth:`edge_memo`), which is
-    off when ``capacity`` is 0 and otherwise sized by
-    :data:`EDGE_PROFILE_CACHE_SIZE` and :data:`EDGE_MATCH_CACHE_SIZE`.
+    It also owns the edge layer's memo (see :meth:`edge_memo`) and the
+    table part-index memo (see :meth:`part_index`), which are off when
+    ``capacity`` is 0 and otherwise sized by
+    :data:`EDGE_PROFILE_CACHE_SIZE`, :data:`EDGE_MATCH_CACHE_SIZE` and
+    :data:`PART_INDEX_CACHE_SIZE`.
 
     Thread-safe — ``WWTService.answer_batch`` fans concurrent pipelines
     over one shared instance.
@@ -225,6 +234,9 @@ class FeatureCache:
         )
         self._matches: BoundedCache[Hashable, Any] = BoundedCache(
             EDGE_MATCH_CACHE_SIZE if capacity else 0
+        )
+        self._part_indexes: BoundedCache[Hashable, Any] = BoundedCache(
+            PART_INDEX_CACHE_SIZE if capacity else 0
         )
         self._regime: Optional[Tuple[Any, Any, Any]] = None
         self._regime_lock = threading.Lock()
@@ -264,6 +276,7 @@ class FeatureCache:
         self._cache.clear()
         self._profiles.clear()
         self._matches.clear()
+        self._part_indexes.clear()
 
     def get(self, key: Hashable, generation: Optional[int] = None) -> Any:
         """The cached ``(col_features, relevance)`` for ``key``, or ``None``.
@@ -311,6 +324,17 @@ class FeatureCache:
             return None
         return EdgeMemo(self, generation)
 
+    def part_index(self, table_id: str, generation: int) -> Any:
+        """The cached :class:`~repro.core.segsim.TablePartIndex` of one
+        table under one :meth:`pin` token, or ``None``."""
+        return self._guarded_get(self._part_indexes, table_id, generation)
+
+    def put_part_index(
+        self, table_id: str, part_index: Any, generation: int
+    ) -> None:
+        """Store one table's part index (dropped if ``generation`` is stale)."""
+        self._guarded_put(self._part_indexes, table_id, part_index, generation)
+
     def clear(self) -> None:
         """Drop all entries and retire outstanding :meth:`pin` tokens
         (counters and the pinned regime itself are kept)."""
@@ -339,6 +363,10 @@ class FeatureCache:
     def stats(self) -> Dict[str, Any]:
         """Plain-dict counter snapshot (see :meth:`BoundedCache.stats`)."""
         return self._cache.stats()
+
+    def part_index_stats(self) -> Dict[str, Any]:
+        """Counter snapshot of the part-index memo (see :meth:`stats`)."""
+        return self._part_indexes.stats()
 
     def edge_stats(self) -> Dict[str, Any]:
         """``hits``/``misses``/``size``/``capacity`` of the edge memo, its

@@ -6,6 +6,11 @@ variable per (table, column) with the ``q + 2`` label space, node potentials
 hard table constraints (Eqs. 5-8).  :func:`build_problem` evaluates all
 features; the labeling objective (Eq. 9) is exposed via :meth:`score` so
 tests and algorithm comparisons can rank labelings exactly.
+
+One served query builds one problem: the probe's confidence pass builds
+it over the stage-1 tables without edges, and ``column_map`` extends it
+with the stage-2 tables (``build_problem(base=...)``), carrying over the
+stage-1 node potentials, features, relevance and solved max-marginals.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ class ColumnMappingProblem:
         features: Dict[Tuple[int, int], ColumnFeatures],
         table_relevance: List[float],
         edges: List[MappingEdge],
+        max_marginals: Optional[Dict[Tuple[int, int], List[float]]] = None,
     ) -> None:
         self.query = query
         self.tables = list(tables)
@@ -64,6 +70,13 @@ class ColumnMappingProblem:
         self.features = features
         self.table_relevance = table_relevance
         self.edges = edges
+        #: Max-marginals (Fig. 3) already solved under exactly these node
+        #: potentials, per column; empty unless a caller recorded them.
+        #: ``table_max_marginals`` returns a table's entries instead of
+        #: re-solving it, and ``build_problem(base=...)`` carries them over.
+        self.max_marginals: Dict[Tuple[int, int], List[float]] = (
+            max_marginals if max_marginals is not None else {}
+        )
 
     # -- structure ---------------------------------------------------------------
 
@@ -195,6 +208,26 @@ def _clip(a: float, b: float) -> float:
     return 0.0 if a < b else a
 
 
+def _part_index(
+    table: WebTable,
+    stats: Optional[TermStatistics],
+    feature_cache: Optional[FeatureCache],
+    generation: int,
+) -> TablePartIndex:
+    """One table's :class:`TablePartIndex`, memoized per table id.
+
+    The index holds only the table's own token sets, so the feature
+    cache keeps it across queries under its regime pin.
+    """
+    if feature_cache is None:
+        return TablePartIndex(table, stats)
+    part_index = feature_cache.part_index(table.table_id, generation)
+    if part_index is None:
+        part_index = TablePartIndex(table, stats)
+        feature_cache.put_part_index(table.table_id, part_index, generation)
+    return part_index
+
+
 def build_problem(
     query: Query,
     tables: Sequence[WebTable],
@@ -204,6 +237,7 @@ def build_problem(
     reliabilities: Reliabilities = DEFAULT_RELIABILITIES,
     feature_cache: Optional[FeatureCache] = None,
     with_edges: bool = True,
+    base: Optional[ColumnMappingProblem] = None,
 ) -> ColumnMappingProblem:
     """Evaluate all features and assemble the labeling problem.
 
@@ -226,7 +260,19 @@ def build_problem(
     come out bit-identical either way.  The cache is pinned to this call's
     ``(stats, reliabilities, pmi_scorer)`` regime and auto-clears if a
     different regime arrives (see
-    :meth:`~repro.core.features.FeatureCache.pin`).
+    :meth:`~repro.core.features.FeatureCache.pin`).  It also memoizes
+    each table's :class:`~repro.core.segsim.TablePartIndex` across
+    queries.
+
+    ``base`` extends an existing problem instead of starting over: its
+    tables must be the leading ``tables`` (same objects, same order) and
+    it must have been built for the same ``query``, ``params``, ``stats``,
+    ``pmi_scorer`` and ``reliabilities``.  Its node potentials, features,
+    relevance and recorded max-marginals are carried over unchanged, only
+    the tables after them are evaluated, and edges (when asked for) are
+    built once over the whole table set — the same values a build from
+    scratch computes.  The caller owns the ``stats``/scorer guarantee;
+    ``query``, ``params`` and the table prefix are checked here.
     """
     q = query.q
     query_tokens = [query.column_tokens(l) for l in range(q)]
@@ -245,8 +291,27 @@ def build_problem(
     node_potentials: Dict[Tuple[int, int], List[float]] = {}
     features: Dict[Tuple[int, int], ColumnFeatures] = {}
     table_relevance: List[float] = []
+    max_marginals: Dict[Tuple[int, int], List[float]] = {}
+    start = 0
+    if base is not None:
+        start = len(base.tables)
+        if (
+            base.query is not query
+            or base.params != params
+            or len(tables) < start
+            or any(a is not b for a, b in zip(base.tables, tables))
+        ):
+            raise ValueError(
+                "base must be a problem over a prefix of tables, built for "
+                "the same query and params"
+            )
+        node_potentials.update(base.node_potentials)
+        features.update(base.features)
+        table_relevance.extend(base.table_relevance)
+        max_marginals.update(base.max_marginals)
 
-    for ti, table in enumerate(tables):
+    for ti in range(start, len(tables)):
+        table = tables[ti]
         nt = table.num_cols
         cached = (
             feature_cache.get(
@@ -258,7 +323,9 @@ def build_problem(
         if cached is not None:
             col_features, relevance = cached
         else:
-            part_index = TablePartIndex(table, stats)
+            part_index = _part_index(
+                table, stats, feature_cache, cache_generation
+            )
             col_features = []
             for ci in range(nt):
                 seg: List[float] = []
@@ -330,4 +397,5 @@ def build_problem(
         features=features,
         table_relevance=table_relevance,
         edges=edges,
+        max_marginals=max_marginals,
     )

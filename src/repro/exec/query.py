@@ -32,11 +32,11 @@ from typing import List
 from ..consolidate.merge import consolidate
 from ..consolidate.ranker import rank_answer
 from ..core.model import build_problem
-from ..inference.registry import DEFAULT_REGISTRY
+from ..inference.registry import DEFAULT_REGISTRY, InferenceFn
 from ..pipeline.probe import (
     ProbeConfig,
     ProbeResult,
-    table_confidences,
+    confidence_pass,
     trim_hits,
 )
 from ..query.model import Query
@@ -116,17 +116,18 @@ def _stage_confidence(ctx: ExecutionContext, s: QueryState) -> None:
     if not s.stage1_tables:
         return
     config = s.probe_config
-    s.confidences = table_confidences(
+    s.confidence = confidence_pass(
         s.query, s.stage1_tables, s.corpus, s.params,
         feature_cache=s.feature_cache, pmi_scorer=s.pmi_scorer,
     )
+    confidences = s.confidence.confidences
     ranked = sorted(
-        range(len(s.stage1_tables)), key=lambda i: -s.confidences[i]
+        range(len(s.stage1_tables)), key=lambda i: -confidences[i]
     )
     s.seeds = [
         s.stage1_tables[i]
         for i in ranked[: config.num_seed_tables]
-        if s.confidences[i] >= config.seed_confidence
+        if confidences[i] >= config.seed_confidence
     ]
     ctx.count("seeds", len(s.seeds))
     _note_coverage(ctx, s)
@@ -178,12 +179,27 @@ def _map_with(
     ctx: ExecutionContext, s: QueryState, algorithm: InferenceFn,
     with_edges: bool = True,
 ) -> None:
+    """Build the query's problem over every candidate and solve it.
+
+    When this query's confidence stage ran and the corpus still serves
+    the stats object it ran under, its stage-1 problem (the leading
+    ``probe.tables``) is extended rather than rebuilt; otherwise — a
+    probe-cache hit, a skipped confidence stage, a stats refresh in
+    between — the problem is built from scratch.  Both give the same
+    problem.
+    """
+    stats = s.corpus.stats
+    base = s.confidence
     s.problem = build_problem(
-        s.query, s.probe.tables, s.corpus.stats, s.params,
+        s.query, s.probe.tables, stats, s.params,
         pmi_scorer=s.pmi_scorer, feature_cache=s.feature_cache,
         with_edges=with_edges,
+        base=base.problem if base is not None and base.stats is stats else None,
     )
     s.mapping = algorithm(s.problem)
+    # The carried max-marginals have served the solve; a cached answer
+    # keeps its problem, and need not keep them too.
+    s.problem.max_marginals = {}
     ctx.count("tables", len(s.probe.tables))
     ctx.count("edges", len(s.problem.edges))
 

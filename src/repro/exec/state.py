@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.params import ModelParams
     from ..core.pmi import PmiScorer
     from ..faults.health import Coverage
-    from ..pipeline.probe import ProbeConfig, ProbeResult
+    from ..pipeline.probe import ConfidencePass, ProbeConfig, ProbeResult
     from ..query.model import Query
     from ..tables.table import WebTable
 
@@ -60,7 +60,10 @@ class QueryState:
     # -- probe outputs ----------------------------------------------------
     stage1_ids: List[str] = field(default_factory=list)
     stage1_tables: List[WebTable] = field(default_factory=list)
-    confidences: List[float] = field(default_factory=list)
+    #: The confidence stage's per-table confidences and stage-1 problem
+    #: (``None`` when the stage did not run); ``column_map`` extends the
+    #: problem instead of rebuilding it.
+    confidence: Optional[ConfidencePass] = None
     seeds: List[WebTable] = field(default_factory=list)
     stage2_ids: List[str] = field(default_factory=list)
     #: The finalized candidate-retrieval artifact (``probe.read2``).

@@ -9,6 +9,12 @@ For query labels and ``na`` this is a forced-assignment bipartite optimum,
 computed for all (c, l) pairs at once from the residual graph of a single
 min-cost-flow solve (one Bellman–Ford per label).  For ``nr``, all-Irr
 forces the whole table, so ``µ_tc(nr)`` is the all-``nr`` table score.
+
+A table's max-marginals depend only on its own node potentials, so a
+table whose entries the problem already records
+(:attr:`~repro.core.model.ColumnMappingProblem.max_marginals` — the
+confidence pass's stage-1 tables, carried into the full problem) is
+returned from there instead of being solved again.
 """
 
 from __future__ import annotations
@@ -30,13 +36,21 @@ def table_max_marginals(
     """µ_tc(l) for every column of table ``ti`` and every label.
 
     Returns dense per-column lists over the full label space
-    (q query labels, na, nr).
+    (q query labels, na, nr).  With ``potentials`` unset, a table whose
+    max-marginals ``problem.max_marginals`` already records is not
+    re-solved.
     """
     table = problem.tables[ti]
     labels = problem.labels
     q = labels.q
     nt = table.num_cols
-    theta = potentials if potentials is not None else problem.node_potentials
+    if potentials is None:
+        known = problem.max_marginals
+        if nt and (ti, 0) in known:
+            return {(ti, ci): known[(ti, ci)] for ci in range(nt)}
+        theta = problem.node_potentials
+    else:
+        theta = potentials
 
     # Bipartite graph without must-match (no M1) and without min-match
     # (na capacity = nt), exactly Fig. 3's construction.

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..core.features import FeatureCache
-from ..core.model import build_problem
+from ..core.model import ColumnMappingProblem, build_problem
 from ..core.params import DEFAULT_PARAMS, ModelParams
 from ..core.pmi import PmiScorer
 from ..index.protocol import CorpusProtocol
 from ..query.model import Query
 from ..tables.table import WebTable
+from ..text.tfidf import TermStatistics
 from ..inference.base import column_distributions
 from ..inference.max_marginals import all_max_marginals
 
@@ -38,10 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 __all__ = [
     "PROBE_TIMING_SPANS",
+    "ConfidencePass",
     "ProbeConfig",
     "ProbeResult",
     "two_stage_probe",
-    "table_confidences",
+    "confidence_pass",
     "trim_hits",
 ]
 
@@ -109,20 +111,40 @@ def trim_hits(
     return [h for h in hits if h.score >= floor]
 
 
-def table_confidences(
+@dataclass
+class ConfidencePass:
+    """The confidence stage's mapping model over the stage-1 tables.
+
+    ``problem`` has no edges (the confidences read only table-independent
+    max-marginals, Fig. 3) and records the max-marginals it solved, so
+    ``column_map`` can extend it with the stage-2 tables instead of
+    rebuilding it — valid only while the corpus still serves the same
+    ``stats`` object.
+    """
+
+    problem: ColumnMappingProblem
+    stats: TermStatistics
+    confidences: List[float]
+
+
+def confidence_pass(
     query: Query,
     tables: Sequence[WebTable],
     corpus: CorpusProtocol,
     params: ModelParams,
     feature_cache: Optional[FeatureCache] = None,
     pmi_scorer: Optional[PmiScorer] = None,
-) -> List[float]:
-    """Per-table relevance confidence from independent max-marginals."""
+) -> ConfidencePass:
+    """Build the edge-free stage-1 problem and score every table's
+    relevance confidence from its independent max-marginals."""
+    stats = corpus.stats
     problem = build_problem(
-        query, tables, corpus.stats, params,
+        query, tables, stats, params,
         pmi_scorer=pmi_scorer, feature_cache=feature_cache,
+        with_edges=False,
     )
-    distributions = column_distributions(problem, all_max_marginals(problem))
+    problem.max_marginals = all_max_marginals(problem)
+    distributions = column_distributions(problem, problem.max_marginals)
     confidences = []
     for ti in range(len(tables)):
         best = 0.0
@@ -131,7 +153,7 @@ def table_confidences(
             mass = max(dist[l] for l in problem.labels.query_labels())
             best = max(best, mass)
         confidences.append(best)
-    return confidences
+    return ConfidencePass(problem=problem, stats=stats, confidences=confidences)
 
 
 def two_stage_probe(
@@ -165,10 +187,11 @@ def two_stage_probe(
 
     ``feature_cache`` (when given) is populated by the confidence pass's
     :func:`~repro.core.model.build_problem` call, so a caller assembling
-    the full inference problem right after this probe — the serving
-    facade — reuses every stage-1 table's features instead of recomputing
-    them (see DESIGN.md, "Hot-path engine").  ``pmi_scorer`` forwards to
-    the same call (only consulted when ``params.w3`` is non-zero).
+    the full inference problem after this probe reuses every stage-1
+    table's features instead of recomputing them (see DESIGN.md,
+    "Hot-path engine"; the serving plan goes further and extends the
+    confidence pass's problem itself).  ``pmi_scorer`` forwards to the
+    same call (only consulted when ``params.w3`` is non-zero).
 
     ``context`` (when given) threads an existing
     :class:`~repro.exec.context.ExecutionContext` through — the probe's

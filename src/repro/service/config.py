@@ -58,9 +58,9 @@ class EngineConfig:
     cache_size: int = 256
     #: LRU capacity of the probe cache (candidate-retrieval outputs).
     probe_cache_size: int = 128
-    #: LRU capacity of the per-(query, table) feature cache shared between
-    #: the probe's confidence pass and the full inference assembly (the
-    #: hot-path memoization — see DESIGN.md, "Hot-path engine").
+    #: LRU capacity of the per-(query, table) feature cache (the hot-path
+    #: memoization — see DESIGN.md, "Hot-path engine"); 0 also turns off
+    #: the edge and part-index memos it carries.
     feature_cache_size: int = 4096
     #: Thread-pool width for :meth:`WWTService.answer_batch`.
     max_workers: int = 4

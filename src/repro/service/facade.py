@@ -68,6 +68,9 @@ class ServiceStats:
     #: Edge-layer memo counters (column profiles and per-table-pair
     #: matchings reused across queries), both of its caches summed.
     edge_cache: CacheStats
+    #: Table part-index memo counters (each table's SegSim token sets,
+    #: reused across queries).
+    part_index_cache: CacheStats
     #: Cumulative wall-clock seconds spent serving (cache hits included).
     total_time: float
     #: Per-stage latency aggregates (count/total/p50/p95 seconds) over
@@ -95,6 +98,7 @@ class ServiceStats:
             "probe_cache": self.probe_cache.to_dict(),
             "feature_cache": self.feature_cache.to_dict(),
             "edge_cache": self.edge_cache.to_dict(),
+            "part_index_cache": self.part_index_cache.to_dict(),
             "stages": {
                 name: stats.to_dict()
                 for name, stats in sorted(self.stages.items())
@@ -148,9 +152,11 @@ class WWTService:
         self.corpus = corpus
         self._result_cache = LRUCache(self.config.cache_size)
         self._probe_cache = LRUCache(self.config.probe_cache_size)
-        #: Per-(query, table) feature memo shared by the probe's
-        #: confidence pass and the full inference assembly, so stage-1
-        #: features are computed once per query instead of twice.
+        #: Per-(query, table) feature memo, plus the query-independent
+        #: edge and part-index memos it carries.  Within one query the
+        #: column_map stage extends the confidence pass's problem, so the
+        #: feature memo pays off on the paths that rebuild from scratch
+        #: (probe-cache hits, skipped confidence, a stats refresh).
         self._feature_cache = FeatureCache(self.config.feature_cache_size)
         #: One corpus-level PMI² scorer (bounded H/B containment-probe
         #: caches shared across every query and batch) — only when the
@@ -637,25 +643,23 @@ class WWTService:
             degraded_answers = self._degraded_answers
             degraded_reasons = dict(self._degraded_reasons)
             partial_answers = self._partial_answers
-        feature = self._feature_cache.stats()  # one atomic snapshot
-        edge = self._feature_cache.edge_stats()
+        def counters(snapshot: Dict[str, Any]) -> CacheStats:
+            return CacheStats(
+                hits=snapshot["hits"],
+                misses=snapshot["misses"],
+                size=snapshot["size"],
+                capacity=snapshot["capacity"],
+            )
+
+        memo = self._feature_cache
         return ServiceStats(
             queries=queries,
             batches=batches,
             result_cache=self._result_cache.stats(),
             probe_cache=self._probe_cache.stats(),
-            feature_cache=CacheStats(
-                hits=feature["hits"],
-                misses=feature["misses"],
-                size=feature["size"],
-                capacity=feature["capacity"],
-            ),
-            edge_cache=CacheStats(
-                hits=edge["hits"],
-                misses=edge["misses"],
-                size=edge["size"],
-                capacity=edge["capacity"],
-            ),
+            feature_cache=counters(memo.stats()),  # one atomic snapshot
+            edge_cache=counters(memo.edge_stats()),
+            part_index_cache=counters(memo.part_index_stats()),
             total_time=total_time,
             stages=stages,
             deadline_hits=deadline_hits,
@@ -680,9 +684,10 @@ class WWTService:
         """Drop all serving caches (hit/miss counters are kept).
 
         Covers the result and probe LRUs, the per-(query, table) feature
-        memo and the edge memo it carries, and — when PMI² is configured —
-        the corpus-level H/B containment-probe caches; all of them key off
-        corpus content, so a live mutation invalidates the lot.
+        memo and the edge and part-index memos it carries, and — when
+        PMI² is configured — the corpus-level H/B containment-probe
+        caches; all of them key off corpus content, so a live mutation
+        invalidates the lot.
         """
         self._result_cache.clear()
         self._probe_cache.clear()

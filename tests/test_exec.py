@@ -807,3 +807,190 @@ class TestQueryStateDefaults:
         assert isinstance(state.rng, random.Random)
         assert isinstance(state.probe_config, ProbeConfig)
         assert state.answer is not None
+
+
+class _StatsSwapped:
+    """A corpus view serving an equal but distinct stats object, as after
+    a journal refresh between ``probe.confidence`` and ``column_map``."""
+
+    def __init__(self, corpus):
+        from repro.text.tfidf import TermStatistics
+
+        self._corpus = corpus
+        self.stats = TermStatistics.from_dict(corpus.stats.to_dict())
+
+    def __getattr__(self, name):
+        return getattr(self._corpus, name)
+
+
+class TestOneProblemPerQuery:
+    """column_map extends the confidence pass's edge-free problem; every
+    path without a usable one builds from scratch, to the same answer."""
+
+    @pytest.fixture()
+    def bases(self, monkeypatch):
+        """The ``base`` each column_map ``build_problem`` call received."""
+        import repro.exec.query as exec_query
+
+        seen = []
+        real = exec_query.build_problem
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("base"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exec_query, "build_problem", spy)
+        return seen
+
+    @staticmethod
+    def _multi_table_query(small_env):
+        return next(
+            wq for wq in small_env.queries
+            if len(small_env.candidates[wq.query_id].stage1_ids) >= 2
+        )
+
+    def _state(self, small_env, wq):
+        config = EngineConfig()
+        return QueryState(
+            query=wq.query,
+            corpus=small_env.synthetic.corpus,
+            probe_config=config.probe,
+            params=config.params,
+            algorithm=get_algorithm(config.inference),
+            rng=random.Random(config.probe.seed),
+        )
+
+    def test_uncached_answer_builds_edges_once(self, small_env, monkeypatch):
+        import repro.core.model as model
+        import repro.pipeline.probe as probe
+
+        calls = []
+        real_edges = model.build_edges
+
+        def count_edges(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real_edges(*args, **kwargs)
+
+        confidence_problems = []
+        real_build = probe.build_problem
+
+        def keep_problem(*args, **kwargs):
+            problem = real_build(*args, **kwargs)
+            confidence_problems.append(problem)
+            return problem
+
+        monkeypatch.setattr(model, "build_edges", count_edges)
+        monkeypatch.setattr(probe, "build_problem", keep_problem)
+        wq = self._multi_table_query(small_env)
+        service = WWTService(
+            small_env.synthetic.corpus,
+            EngineConfig(cache_size=0, probe_cache_size=0),
+        )
+        response = service.answer(wq.query)
+        full = service.answer_full(wq.query)
+        assert len(calls) == 2  # one per uncached computation
+        assert calls == [full.probe.num_candidates] * 2
+        assert [p.edges for p in confidence_problems] == [[], []]
+        assert response.rows == full.answer.rows[: len(response.rows)]
+        assert full.problem.edges  # the full problem does carry edges
+
+    def test_stage1_max_marginals_match_from_scratch(self, small_env):
+        from repro.inference.max_marginals import all_max_marginals
+
+        assert len(small_env.queries) == 59
+        extended_queries = 0
+        for wq in small_env.queries:
+            state = self._state(small_env, wq)
+            build_probe_plan().run(ExecutionContext(), state)
+            if state.confidence is None:
+                continue
+            stats = small_env.synthetic.corpus.stats
+            tables = state.probe.tables
+            base = state.confidence.problem
+            extended = build_problem(
+                wq.query, tables, stats, state.params, base=base
+            )
+            scratch = build_problem(wq.query, tables, stats, state.params)
+            stage1 = {
+                tc for ti in range(len(base.tables))
+                for tc in extended.table_columns(ti)
+            }
+            assert set(extended.max_marginals) == stage1, wq.query_id
+            assert all_max_marginals(extended) == all_max_marginals(
+                scratch
+            ), wq.query_id
+            assert extended.node_potentials == scratch.node_potentials
+            assert extended.features == scratch.features
+            assert extended.table_relevance == scratch.table_relevance
+            assert [
+                (e.a, e.b, e.sim, e.nsim_ab, e.nsim_ba) for e in extended.edges
+            ] == [
+                (e.a, e.b, e.sim, e.nsim_ab, e.nsim_ba) for e in scratch.edges
+            ], wq.query_id
+            extended_queries += 1
+        assert extended_queries > 0
+
+    def test_base_must_be_a_prefix(self, small_env):
+        wq = self._multi_table_query(small_env)
+        tables = small_env.candidates[wq.query_id].tables
+        stats = small_env.synthetic.corpus.stats
+        params = EngineConfig().params
+        base = build_problem(wq.query, tables[:2], stats, params)
+        with pytest.raises(ValueError, match="prefix"):
+            build_problem(wq.query, tables[1:], stats, params, base=base)
+
+    def test_probe_cache_hit_builds_from_scratch(self, small_env, bases):
+        wq = self._multi_table_query(small_env)
+        service = WWTService(
+            small_env.synthetic.corpus, EngineConfig(cache_size=0)
+        )
+        first = service.answer_full(wq.query)
+        second = service.answer_full(wq.query)
+        assert bases[0] is not None and bases[1] is None
+        assert answer_fingerprint(
+            first.probe, first.mapping, first.answer
+        ) == answer_fingerprint(second.probe, second.mapping, second.answer)
+
+    def test_skipped_confidence_builds_from_scratch(self, small_env, bases):
+        from repro.exec.query import (
+            MAPPING_STAGES,
+            PROBE_STAGES,
+            _stage_read1,
+        )
+
+        clock = FakeClock()
+
+        def slow_read1(ctx, state):
+            _stage_read1(ctx, state)
+            clock.advance(1.0)  # the budget dies before probe.confidence
+
+        plan = ExecutionPlan(
+            PROBE_STAGES[:1]
+            + (Stage("probe.read1", slow_read1, skippable=True),)
+            + PROBE_STAGES[2:] + MAPPING_STAGES,
+        )
+        state = self._state(small_env, self._multi_table_query(small_env))
+        ctx = ExecutionContext(deadline_ms=5.0, clock=clock)
+        plan.run(ctx, state)
+        assert ctx.root.find("probe.confidence").status == SPAN_SKIPPED
+        assert state.confidence is None
+        assert bases == [None]
+        assert state.probe.tables and state.answer is not None
+
+    def test_stats_swap_builds_from_scratch(self, small_env, bases):
+        from repro.exec.query import _stage_column_map
+
+        wq = self._multi_table_query(small_env)
+        runs = []
+        for swap in (False, True):
+            state = self._state(small_env, wq)
+            ctx = ExecutionContext()
+            build_probe_plan().run(ctx, state)
+            assert state.confidence is not None
+            if swap:
+                state.corpus = _StatsSwapped(state.corpus)
+            with ctx.span("column_map"):
+                _stage_column_map(ctx, state)
+            runs.append(state.mapping.labels)
+        assert bases[0] is not None and bases[1] is None
+        assert runs[0] == runs[1]

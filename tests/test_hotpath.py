@@ -318,6 +318,68 @@ class TestFeatureCache:
         )
 
 
+class TestPartIndexMemo:
+    """Each table's TablePartIndex is built once per feature-cache regime
+    and shared across queries."""
+
+    @pytest.fixture()
+    def tables_and_stats(self, small_env):
+        tables = small_env.candidates[small_env.queries[0].query_id].tables
+        assert tables, "fixture query retrieved no candidates"
+        return tables, small_env.synthetic.corpus.stats
+
+    def test_shared_across_queries_without_changing_features(
+        self, tables_and_stats
+    ):
+        tables, stats = tables_and_stats
+        cache = FeatureCache()
+        first, second = Query.parse("country | currency"), Query.parse("name")
+        build_problem(first, tables, stats, DEFAULT_PARAMS, feature_cache=cache)
+        memo = cache.part_index_stats()
+        assert memo["misses"] == len(tables) and memo["hits"] == 0
+        warm = build_problem(
+            second, tables, stats, DEFAULT_PARAMS, feature_cache=cache
+        )
+        assert cache.part_index_stats()["hits"] == len(tables)
+        cold = build_problem(second, tables, stats, DEFAULT_PARAMS)
+        assert warm.features == cold.features
+        assert warm.node_potentials == cold.node_potentials
+
+    def test_dropped_on_clear_and_on_stats_flip(self, tables_and_stats):
+        from repro.text.tfidf import TermStatistics
+
+        tables, stats = tables_and_stats
+        query = Query.parse("country | currency")
+        cache = FeatureCache()
+        build_problem(query, tables, stats, DEFAULT_PARAMS, feature_cache=cache)
+        assert cache.part_index_stats()["size"] == len(tables)
+        cache.clear()
+        assert cache.part_index_stats()["size"] == 0
+
+        build_problem(query, tables, stats, DEFAULT_PARAMS, feature_cache=cache)
+        other = TermStatistics.from_dict(stats.to_dict())
+        cache.pin(other, None, None)
+        assert cache.part_index_stats()["size"] == 0
+
+    def test_stale_generation_put_is_dropped(self, tables_and_stats):
+        tables, stats = tables_and_stats
+        cache = FeatureCache()
+        stale = cache.pin(stats, None, None)
+        cache.clear()
+        cache.put_part_index("t", "stale", stale)
+        assert cache.part_index_stats()["size"] == 0
+        assert cache.part_index("t", cache.pin(stats, None, None)) is None
+
+    def test_off_at_feature_cache_size_zero(self, small_env):
+        service = WWTService(
+            small_env.synthetic.corpus, EngineConfig(feature_cache_size=0)
+        )
+        service.answer_full(small_env.queries[0].query)
+        memo = service.stats().part_index_cache
+        assert memo.capacity == 0 and memo.size == 0
+        assert "part_index_cache" in service.stats().to_dict()
+
+
 class TestServiceHotPath:
     """End-to-end: the serving facade with and without memoization."""
 
@@ -334,6 +396,11 @@ class TestServiceHotPath:
             b = plain.answer_full(query)
             assert a.answer.rows == b.answer.rows
             assert a.mapping.labels == b.mapping.labels
+        # Within one computed query column_map extends the confidence
+        # pass's problem, so features are looked up only when a problem
+        # is rebuilt from scratch — as after a probe-cache hit.
+        rebuilt = memoized.answer_full(queries[0], use_cache=False)
+        assert rebuilt.answer.rows == plain.answer_full(queries[0]).answer.rows
         stats = memoized.stats()
         assert stats.feature_cache.hits > 0
         assert "feature_cache" in stats.to_dict()

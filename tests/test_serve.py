@@ -651,6 +651,16 @@ class TestServedIdentity:
                     == json.dumps(warm["answer"], sort_keys=True)
                 )
 
+    def test_stats_carries_part_index_memo(self, service):
+        with ReproServer(service, ServeConfig(port=0)) as server:
+            with ServeClient(server.host, server.port) as client:
+                client.query(QUERY_BODY)
+                status, _, stats = client.stats()
+        assert status == 200
+        memo = stats["service"]["part_index_cache"]
+        assert memo == service.stats().part_index_cache.to_dict()
+        assert memo["misses"] > 0 and memo["size"] > 0
+
     def test_tight_deadline_sheds_to_degraded_answer(self, service):
         with ReproServer(service, ServeConfig(port=0)) as server:
             with ServeClient(server.host, server.port) as client:
